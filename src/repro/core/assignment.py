@@ -193,7 +193,6 @@ def assign_cores_naive(
     X_old: np.ndarray,
     cores_per_node: np.ndarray,
     state_bytes: np.ndarray,
-    round_offset: int = 0,
 ) -> AssignmentResult:
     """naive-EC (§5.4): realise ``k`` with the scheduler's migration-cost
     and computation-locality optimisations *disabled*.

@@ -117,6 +117,8 @@ class ElasticExecutor:
         self._next_task_id = 0
         self.shard_to_task: list[int] = []
         self._pending_reassign: dict[int, _Reassignment] = {}
+        #: removed tasks still finishing their queues; never a destination.
+        self._draining: set[int] = set()
         self._seq = 0
         self.emitted: list[Tuple] = []
         # protocol cost metrics (ms / bytes), mirroring Fig. 8 breakdown
@@ -146,38 +148,37 @@ class ElasticExecutor:
         """Deallocate a core: reassign its shards away, then delete the
         task.  Pending tuples are drained through the reassignment
         protocol (labeling tuples), so call :meth:`run_until_idle`
-        afterwards to complete in-flight work."""
-        idx = self._task_index(task_id)
-        if len(self.tasks) == 1:
+        afterwards to complete in-flight work.  Shards already moving
+        to the task are re-targeted to the same survivor."""
+        self._task(task_id)  # validate
+        survivors = [
+            t.task_id
+            for t in self.tasks
+            if t.task_id != task_id and t.task_id not in self._draining
+        ]
+        if not survivors:
             raise ValueError("cannot remove the last core of an executor")
-        survivors = [t.task_id for t in self.tasks if t.task_id != task_id]
+        dst = min(survivors, key=lambda tid: self._task(tid).queue_len())
+        for r in self._pending_reassign.values():
+            if r.dst_task == task_id:
+                r.dst_task = dst
         for shard, owner in enumerate(self.shard_to_task):
             if owner == task_id and shard not in self._pending_reassign:
-                dst = min(survivors, key=lambda tid: self._task(tid).queue_len())
                 self.reassign_shard(shard, dst)
         # The task object stays until its queue (incl. labels) drains;
-        # mark it draining by removing it from routing targets only.
-        self._draining = getattr(self, "_draining", set())
+        # marking it draining removes it from routing targets only.
         self._draining.add(task_id)
-        del idx  # index recomputed lazily; tasks list unchanged until drained
 
     def _gc_drained_tasks(self) -> None:
-        draining = getattr(self, "_draining", set())
-        done = {tid for tid in draining if not self._task(tid).pending}
+        done = {tid for tid in self._draining if not self._task(tid).pending}
         if done:
             self.tasks = [t for t in self.tasks if t.task_id not in done]
-            draining -= done
+            self._draining -= done
 
     def _task(self, task_id: int) -> Task:
         for t in self.tasks:
             if t.task_id == task_id:
                 return t
-        raise KeyError(f"task {task_id}")
-
-    def _task_index(self, task_id: int) -> int:
-        for i, t in enumerate(self.tasks):
-            if t.task_id == task_id:
-                return i
         raise KeyError(f"task {task_id}")
 
     # ------------------------------------------------------------------
@@ -209,6 +210,8 @@ class ElasticExecutor:
             raise ValueError(f"shard {shard} already being reassigned")
         src_task = self.shard_to_task[shard]
         self._task(dst_task)  # validate destination exists
+        if dst_task in self._draining:
+            raise ValueError(f"task {dst_task} is being removed")
         if dst_task == src_task:
             return
         # pause routing for the shard, then label the source queue

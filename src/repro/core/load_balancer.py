@@ -113,43 +113,3 @@ def rebalance(
         moves.append(Move(shard=best, src=src, dst=dst))
     return assign, moves
 
-
-def spread_assignment(n_shards: int, n_tasks: int) -> np.ndarray:
-    """Initial round-robin shard → task assignment."""
-    if n_tasks <= 0:
-        raise ValueError("need at least one task")
-    return (np.arange(n_shards) % n_tasks).astype(np.int64)
-
-
-def drain_task(
-    assignment: np.ndarray,
-    shard_loads: np.ndarray,
-    n_tasks: int,
-    removed_task: int,
-) -> tuple[np.ndarray, list[Move]]:
-    """Reassign all shards of ``removed_task`` before the task is deleted
-    (core deallocation).  Shards go to the currently least-loaded of the
-    remaining tasks, heaviest shard first (FFD), then indices above the
-    removed task are compacted down by one.
-
-    The returned :class:`Move` entries use the *pre-compaction* task
-    numbering (so callers can map them to physical nodes before the
-    task list shrinks); the returned assignment is post-compaction.
-    """
-    assign = np.asarray(assignment, dtype=np.int64).copy()
-    loads = np.asarray(shard_loads, dtype=float)
-    if n_tasks <= 1:
-        raise ValueError("cannot remove the last task")
-    if not (0 <= removed_task < n_tasks):
-        raise ValueError("removed_task out of range")
-    tl = task_loads(loads, assign, n_tasks)
-    tl[removed_task] = np.inf  # never a destination
-    moves: list[Move] = []
-    victims = np.flatnonzero(assign == removed_task)
-    for s in victims[np.argsort(-loads[victims])]:
-        dst = int(np.argmin(tl))
-        moves.append(Move(shard=int(s), src=removed_task, dst=dst))
-        assign[s] = dst
-        tl[dst] += loads[s]
-    assign[assign > removed_task] -= 1
-    return assign, moves

@@ -205,6 +205,11 @@ class BaseSim:
     # run loop
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> RunResult:
+        if trace.epoch_s != self.cfg.epoch_s:
+            raise ValueError(
+                f"trace epochs are {trace.epoch_s} s but the engine runs "
+                f"{self.cfg.epoch_s} s epochs"
+            )
         self.setup(trace.n_keys)
         result = RunResult(self.name, self.cfg.epoch_s, warmup=self.cfg.warmup_epochs)
         n_keys = trace.n_keys

@@ -10,12 +10,14 @@ Every epoch the control plane:
 2. maps physical cores to executors with Algorithm 1 (§4.2), minimising
    state-migration cost under the computation-locality constraint —
    the wall-clock of steps 1–2 is the *scheduling time* of Table 3;
-3. applies the new assignment: tasks are created/removed per executor
-   and node, orphaned shards are re-homed, and the intra-executor load
-   balancer (§3.1) restores δ < θ.  Every shard move is charged the
-   §3.3 protocol cost: a 2 ms sync pause, plus state migration only
-   when the shard crosses nodes (intra-process state sharing makes
-   same-node moves free).
+3. applies the new assignment to every operator through one path
+   (:meth:`ElasticutorSim._rebuild_operator`): tasks are created/removed
+   per executor and node, orphaned shards are re-homed, and the
+   intra-executor load balancer (§3.1) restores δ < θ — an operator
+   whose cores did not change only rebalances.  Every shard move is
+   charged the §3.3 protocol cost: a 2 ms sync pause, plus state
+   migration only when the shard crosses nodes (intra-process state
+   sharing makes same-node moves free).
 
 :class:`NaiveECSim` (in :mod:`repro.paradigms.naive_ec`) swaps step 2
 for the cost-and-locality-blind assignment.
@@ -46,6 +48,7 @@ class ElasticutorSim(BaseSim):
         super().__init__(*args, **kwargs)
         self._gslice: dict[str, slice] = {}
         self._Xg: np.ndarray | None = None
+        self._lam_ewma: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # layout
@@ -88,7 +91,6 @@ class ElasticutorSim(BaseSim):
     # ------------------------------------------------------------------
     def _assign(
         self,
-        epoch: int,
         k: np.ndarray,
         state_bytes: np.ndarray,
         local_node: np.ndarray,
@@ -138,7 +140,7 @@ class ElasticutorSim(BaseSim):
         # EWMA-smooth the measured arrival rates (the system's metrics
         # are windowed measurements, not raw per-second noise) so the
         # allocation does not chase multinomial sampling noise.
-        if not hasattr(self, "_lam_ewma"):
+        if self._lam_ewma is None:
             self._lam_ewma = lams
         else:
             self._lam_ewma = 0.5 * self._lam_ewma + 0.5 * lams
@@ -156,10 +158,12 @@ class ElasticutorSim(BaseSim):
         k = np.asarray(alloc.cores, dtype=np.int64)
         if k.sum() > spec.total_cores:
             k = _cap_allocation(lams / mus, spec.total_cores)
-        res = self._assign(epoch, k, sbytes, local, dint)
+        res = self._assign(k, sbytes, local, dint)
         m.sched_ms += (time.perf_counter() - t0) * 1000.0
         m.n_core_changes += int(np.abs(res.X - self._Xg).sum() // 2)
-        self._apply_assignment(res.X, arrivals, m)
+        for name in self._order:
+            Xop = res.X[:, self._gslice[name]]
+            self._rebuild_operator(self.ops[name], Xop, arrivals[name], m)
         self._Xg = res.X
 
     # ------------------------------------------------------------------
@@ -177,111 +181,67 @@ class ElasticutorSim(BaseSim):
             m.migrated_bytes += rt.op.shard_state_bytes
         m.n_shard_moves += 1
 
-    def _apply_assignment(
-        self, X_new: np.ndarray, arrivals: dict[str, np.ndarray], m: EpochMetrics
-    ) -> None:
-        for name in self._order:
-            rt = self.ops[name]
-            op = rt.op
-            y, z = op.n_executors, op.shards_per_executor
-            Xop = X_new[:, self._gslice[name]]
-            if not np.array_equal(
-                np.bincount(
-                    rt.tasks_node * y + rt.tasks_exec,
-                    minlength=self.spec.n_nodes * y,
-                ).reshape(self.spec.n_nodes, y),
-                Xop,
-            ):
-                self._rebuild_operator(rt, Xop, arrivals[name], m)
-            else:
-                self._rebalance_only(rt, arrivals[name], m)
-
-    def _rebalance_only(self, rt: OpRuntime, in_counts: np.ndarray, m: EpochMetrics) -> None:
-        """No core changes for this operator: just restore δ < θ inside
-        each executor (handles key-distribution shuffles)."""
-        y, z = rt.op.n_executors, rt.op.shards_per_executor
-        loads = self.shard_loads_ms(rt, in_counts)
-        for j in range(y):
-            tj = rt.exec_tasks(j)
-            if len(tj) <= 1:
-                continue
-            shards_j = rt.exec_shards(j)
-            pos = np.full(rt.n_tasks, -1, dtype=np.int64)
-            pos[tj] = np.arange(len(tj))
-            loc = pos[rt.shard_assign[shards_j]]
-            loc2, moves = rebalance(loads[shards_j], loc, len(tj), self.cfg.theta)
-            for mv in moves:
-                self._charge_move(
-                    rt,
-                    m,
-                    int(shards_j[mv.shard]),
-                    int(rt.tasks_node[tj[mv.src]]),
-                    int(rt.tasks_node[tj[mv.dst]]),
-                )
-            rt.shard_assign[shards_j] = tj[loc2]
-
     def _rebuild_operator(
         self, rt: OpRuntime, Xop: np.ndarray, in_counts: np.ndarray, m: EpochMetrics
     ) -> None:
-        """Recreate the operator's task list to match ``Xop`` (cores per
-        node per executor), preserving surviving tasks' shards, re-homing
-        orphans (FFD), then rebalancing each executor."""
+        """Apply ``Xop`` (cores per node per executor) to one operator.
+
+        The new task list is ordered executor-major, node-minor, as the
+        initial layout is.  Within each (executor, node) group the old
+        tasks survive in order up to the wanted count; the rest die and
+        new tasks fill the group's tail.  Shards of dead tasks are
+        re-homed (FFD onto the least-loaded task), then each executor is
+        rebalanced to δ < θ.  With an unchanged ``Xop`` every task maps
+        to itself, so this reduces to the per-executor rebalance."""
         op = rt.op
         y, z = op.n_executors, op.shards_per_executor
+        n = self.spec.n_nodes
         loads = self.shard_loads_ms(rt, in_counts)
-        new_nodes: list[int] = []
-        new_exec: list[int] = []
-        old_to_new = np.full(rt.n_tasks, -1, dtype=np.int64)
-        for j in range(y):
-            old_ts = np.flatnonzero(rt.tasks_exec == j)
-            by_node: dict[int, list[int]] = {}
-            for t in old_ts:
-                by_node.setdefault(int(rt.tasks_node[t]), []).append(int(t))
-            for i in range(self.spec.n_nodes):
-                want = int(Xop[i, j])
-                olds = by_node.get(i, [])
-                for t in olds[:want]:
-                    old_to_new[t] = len(new_nodes)
-                    new_nodes.append(i)
-                    new_exec.append(j)
-                for _ in range(max(0, want - len(olds))):
-                    new_nodes.append(i)
-                    new_exec.append(j)
-        nodes_arr = np.asarray(new_nodes, dtype=np.int64)
-        exec_arr = np.asarray(new_exec, dtype=np.int64)
+        want = Xop.T.ravel()  # cores of group g = executor * n + node
+        groups = np.repeat(np.arange(y * n), want)
+        nodes_arr = groups % n
+        exec_arr = groups // n
+        group_start = np.cumsum(want) - want
+        # stable rank of each old task inside its (executor, node) group
+        old_g = rt.tasks_exec * n + rt.tasks_node
+        order = np.argsort(old_g, kind="stable")
+        old_count = np.bincount(old_g, minlength=y * n)
+        rank = np.empty(rt.n_tasks, dtype=np.int64)
+        rank[order] = np.arange(rt.n_tasks) - (np.cumsum(old_count) - old_count)[old_g[order]]
+        old_to_new = np.where(rank < want[old_g], group_start[old_g] + rank, -1)
         new_assign = old_to_new[rt.shard_assign]  # -1 where the task died
+        k = Xop.sum(axis=0)
+        exec_start = np.cumsum(k) - k
         for j in range(y):
-            tj = np.flatnonzero(exec_arr == j)
-            if len(tj) == 0:
+            kj = int(k[j])
+            if kj == 0:
                 raise RuntimeError(f"executor {j} of {op.name} left with no core")
-            shards_j = rt.exec_shards(j)
-            pos = np.full(len(nodes_arr), -1, dtype=np.int64)
-            pos[tj] = np.arange(len(tj))
-            glob = new_assign[shards_j]
-            loc = np.where(glob >= 0, pos[np.maximum(glob, 0)], -1)
-            lj = loads[shards_j]
-            tl = np.bincount(loc[loc >= 0], weights=lj[loc >= 0], minlength=len(tj))
+            s0, tj0 = j * z, int(exec_start[j])
+            sl = slice(s0, s0 + z)
+            glob = new_assign[sl]
+            loc = np.where(glob >= 0, glob - tj0, -1)
+            lj = loads[sl]
             orphans = np.flatnonzero(loc < 0)
-            for s in orphans[np.argsort(-lj[orphans])]:
-                d = int(np.argmin(tl))
-                loc[s] = d
-                tl[d] += lj[s]
-                old_node = int(rt.tasks_node[rt.shard_assign[shards_j[s]]])
-                self._charge_move(
-                    rt, m, int(shards_j[s]), old_node, int(nodes_arr[tj[d]])
-                )
-            if len(tj) > 1:
-                loc2, moves = rebalance(lj, loc, len(tj), self.cfg.theta)
+            if orphans.size:
+                live = loc >= 0
+                tl = np.bincount(loc[live], weights=lj[live], minlength=kj)
+                for s in orphans[np.argsort(-lj[orphans])]:
+                    d = int(np.argmin(tl))
+                    loc[s] = d
+                    tl[d] += lj[s]
+                    old_node = int(rt.tasks_node[rt.shard_assign[s0 + s]])
+                    self._charge_move(rt, m, s0 + int(s), old_node, int(nodes_arr[tj0 + d]))
+            if kj > 1:
+                loc, moves = rebalance(lj, loc, kj, self.cfg.theta)
                 for mv in moves:
                     self._charge_move(
                         rt,
                         m,
-                        int(shards_j[mv.shard]),
-                        int(nodes_arr[tj[mv.src]]),
-                        int(nodes_arr[tj[mv.dst]]),
+                        s0 + mv.shard,
+                        int(nodes_arr[tj0 + mv.src]),
+                        int(nodes_arr[tj0 + mv.dst]),
                     )
-                loc = loc2
-            new_assign[shards_j] = tj[loc]
+            new_assign[sl] = tj0 + loc
         rt.tasks_node = nodes_arr
         rt.tasks_exec = exec_arr
         rt.shard_assign = new_assign

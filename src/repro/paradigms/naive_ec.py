@@ -2,10 +2,11 @@
 computation-locality optimisations disabled.
 
 Identical executors, load balancer, and model-based allocation — only
-the CPU-to-executor assignment differs: first-feasible placement from a
-rotating node scan, blind to the existing assignment's locality.  Table
-2 measures the consequences (≈5x state migration, ≈10x remote data
-transfer versus the optimising scheduler).
+the CPU-to-executor assignment differs: sequential bin-packing
+(executors in index order, nodes filled in order), blind to the existing
+assignment and to executor homes.  Table 2 measures the consequences
+(≈5x state migration, ≈10x remote data transfer versus the optimising
+scheduler).
 """
 from __future__ import annotations
 
@@ -22,13 +23,10 @@ class NaiveECSim(ElasticutorSim):
 
     def _assign(
         self,
-        epoch: int,
         k: np.ndarray,
         state_bytes: np.ndarray,
         local_node: np.ndarray,
         data_intensity: np.ndarray,
     ) -> AssignmentResult:
         cores = np.full(self.spec.n_nodes, self.spec.cores_per_node, dtype=np.int64)
-        return assign_cores_naive(
-            k, self._Xg, cores, state_bytes, round_offset=epoch
-        )
+        return assign_cores_naive(k, self._Xg, cores, state_bytes)

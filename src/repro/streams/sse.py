@@ -28,10 +28,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.sse_app.topology import ORDER_BYTES
 from repro.streams.microbench import Trace, zipf_weights
-
-ORDER_BYTES = 96
-TRANSACTION_BYTES = 160
 
 
 def sse_trace(

@@ -16,7 +16,7 @@ tiny clusters and benchmarks the paper's 32x8 configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -85,37 +85,3 @@ class ClusterSpec:
             return 0.0  # RC gets the same intra-process sharing (§5 setup)
         return self.rc_migration_proto_ms + self.transfer_ms(state_bytes)
 
-
-@dataclass
-class CoreMap:
-    """Tracks which cores on each node are in use.
-
-    A thin allocator used by the engine to turn an assignment matrix
-    ``X`` (cores per node per executor) into bookkeeping with capacity
-    checks; the optimisation itself lives in :mod:`repro.core.assignment`.
-    """
-
-    spec: ClusterSpec
-    used: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.used:
-            self.used = [0] * self.spec.n_nodes
-
-    def free_on(self, node: int) -> int:
-        return self.spec.cores_per_node - self.used[node]
-
-    def total_free(self) -> int:
-        return self.spec.total_cores - sum(self.used)
-
-    def allocate(self, node: int, n: int = 1) -> None:
-        if self.free_on(node) < n:
-            raise ValueError(
-                f"node {node} has {self.free_on(node)} free cores, requested {n}"
-            )
-        self.used[node] += n
-
-    def release(self, node: int, n: int = 1) -> None:
-        if self.used[node] < n:
-            raise ValueError(f"node {node} only has {self.used[node]} cores in use")
-        self.used[node] -= n

@@ -113,11 +113,6 @@ class Topology:
                     frontier.append(m)
         return order
 
-    def n_upstream_executors(self, name: str) -> int:
-        """Total executor parallelism feeding ``name`` — drives RC's
-        synchronisation cost (Fig. 9a)."""
-        return sum(self.operator(u).n_executors for u in self.upstreams(name))
-
 
 def linear_topology(*ops: OperatorSpec) -> Topology:
     """Chain the given operators in sequence (micro-benchmark shape)."""

@@ -1,7 +1,7 @@
 """Unit tests for the cluster substrate and protocol cost model."""
 import pytest
 
-from repro.substrate.cluster import ClusterSpec, CoreMap
+from repro.substrate.cluster import ClusterSpec
 
 
 class TestClusterSpec:
@@ -63,28 +63,3 @@ class TestClusterSpec:
         big = spec.rc_shard_migration_ms(1 << 25, True)
         assert big > 10 * small
 
-
-class TestCoreMap:
-    def test_initial_state(self):
-        cm = CoreMap(ClusterSpec(n_nodes=4, cores_per_node=8))
-        assert cm.total_free() == 32
-        assert cm.free_on(0) == 8
-
-    def test_allocate_release_roundtrip(self):
-        cm = CoreMap(ClusterSpec(n_nodes=2, cores_per_node=4))
-        cm.allocate(0, 3)
-        assert cm.free_on(0) == 1
-        assert cm.total_free() == 5
-        cm.release(0, 2)
-        assert cm.free_on(0) == 3
-
-    def test_over_allocate_raises(self):
-        cm = CoreMap(ClusterSpec(n_nodes=2, cores_per_node=2))
-        with pytest.raises(ValueError):
-            cm.allocate(0, 3)
-
-    def test_over_release_raises(self):
-        cm = CoreMap(ClusterSpec(n_nodes=2, cores_per_node=2))
-        cm.allocate(1, 1)
-        with pytest.raises(ValueError):
-            cm.release(1, 2)

@@ -94,6 +94,40 @@ class TestScaling:
         ex.add_core(2)
         assert ex.store_on(0) is not ex.store_on(2)
 
+    def test_reassign_onto_draining_task_rejected(self):
+        ex = make_exec()
+        t1 = ex.add_core(0)
+        ex.remove_core(t1)
+        with pytest.raises(ValueError):
+            ex.reassign_shard(0, t1)
+        for i in range(20):
+            ex.receive(i, i)
+        assert ex.run_until_idle() == 20
+        assert [t.task_id for t in ex.tasks] == [0]
+
+    def test_remove_core_retargets_inflight_move(self):
+        """Removing the destination of an in-flight reassignment sends
+        the shard to the shortest-queue survivor, with FIFO order and
+        state intact."""
+        ex = make_exec(n_shards=4)
+        t1 = ex.add_core(0)
+        t2 = ex.add_core(1)
+        key = 5
+        shard = shard_hash.key_to_shard(key, 4)
+        for i in range(3):
+            ex.receive(key, i)
+        ex.reassign_shard(shard, t1)  # label queued behind 3 tuples on task 0
+        ex.remove_core(t1)
+        ex.step(t2)  # collects the drained t1 before the label is processed
+        for i in range(3, 6):
+            ex.receive(key, i)
+        assert ex.run_until_idle() == 6
+        assert ex.shard_to_task[shard] == t2
+        assert [t.value for t in ex.emitted] == [(n, n - 1) for n in range(1, 7)]
+        assert ex.store_on(1).get(shard, key) == 6
+        assert not ex.store_on(0).has_shard(shard)
+        assert {t.task_id for t in ex.tasks} == {0, t2}
+
 
 class TestConsistentReassignment:
     def test_per_key_fifo_order_preserved(self):

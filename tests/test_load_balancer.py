@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.load_balancer import (
-    Move,
-    drain_task,
-    imbalance,
-    rebalance,
-    spread_assignment,
-    task_loads,
-)
+from repro.core.load_balancer import imbalance, rebalance, task_loads
 
 
 class TestImbalance:
@@ -52,7 +45,7 @@ class TestRebalance:
 
     def test_already_balanced_no_moves(self):
         loads = np.ones(8)
-        assign = spread_assignment(8, 4)
+        assign = np.arange(8) % 4
         new, moves = rebalance(loads, assign, 4)
         assert moves == []
         assert np.array_equal(new, assign)
@@ -79,7 +72,7 @@ class TestRebalance:
         # One shard holds nearly all load: δ cannot reach θ, but the
         # algorithm must stop without futile oscillation.
         loads = np.array([100.0] + [0.1] * 15)
-        assign = spread_assignment(16, 4)
+        assign = np.arange(16) % 4
         new, moves = rebalance(loads, assign, 4)
         assert len(moves) <= 16
 
@@ -134,34 +127,3 @@ class TestRebalance:
         if imbalance(tl) >= 1.2:
             assert loads.max() >= 1.2 * mean - 1e-9
 
-
-class TestDrainTask:
-    def test_removed_task_emptied(self):
-        loads = np.arange(1.0, 9.0)
-        assign = spread_assignment(8, 4)
-        new, moves = drain_task(assign, loads, 4, removed_task=2)
-        assert new.max() < 3  # compacted to 3 tasks
-        assert all(m.src == 2 for m in moves)
-
-    def test_compaction_preserves_other_tasks(self):
-        loads = np.ones(6)
-        assign = np.array([0, 1, 2, 0, 1, 2])
-        new, _ = drain_task(assign, loads, 3, removed_task=1)
-        # task 0 keeps its shards; old task 2 becomes task 1
-        assert new[0] == 0 and new[3] == 0
-        assert new[2] == 1 and new[5] == 1
-
-    def test_ffd_balances_remainder(self):
-        loads = np.array([8.0, 7.0, 1.0, 1.0])
-        assign = np.array([2, 2, 0, 1])
-        new, _ = drain_task(assign, loads, 3, removed_task=2)
-        tl = task_loads(loads, new, 2)
-        assert abs(tl[0] - tl[1]) <= 7.0  # heaviest-first placement
-
-    def test_cannot_remove_last(self):
-        with pytest.raises(ValueError):
-            drain_task(np.zeros(2, dtype=np.int64), np.ones(2), 1, 0)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            drain_task(np.zeros(2, dtype=np.int64), np.ones(2), 2, 5)

@@ -4,6 +4,8 @@ elasticity is executor-local, naive-EC churns state and locality."""
 import numpy as np
 import pytest
 
+from repro.core.load_balancer import rebalance
+from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import EngineConfig
 from repro.paradigms.elasticutor import ElasticutorSim, _cap_allocation
 from repro.paradigms.naive_ec import NaiveECSim
@@ -157,6 +159,42 @@ class TestElasticutor:
         with pytest.raises(ValueError):
             ElasticutorSim(t, EngineConfig(spec=spec())).setup(100)
 
+    def test_rebuild_with_current_cores_only_rebalances(self):
+        """Re-applying an operator's current cores keeps every task in
+        place, re-homes no shard, and charges exactly the moves of the
+        per-executor rebalance."""
+        sim = ElasticutorSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
+        trace = dynamic_trace(n_epochs=2)
+        sim.setup(trace.n_keys)
+        rt = sim.ops["calculator"]
+        rng = np.random.default_rng(3)
+
+        def reapply(counts):
+            nodes, execs = rt.tasks_node.copy(), rt.tasks_exec.copy()
+            loads = sim.shard_loads_ms(rt, counts)
+            want, n_moves = rt.shard_assign.copy(), 0
+            for j in range(rt.op.n_executors):
+                tj, sj = rt.exec_tasks(j), rt.exec_shards(j)
+                loc = np.searchsorted(tj, rt.shard_assign[sj])
+                new, moves = rebalance(loads[sj], loc, len(tj), sim.cfg.theta)
+                want[sj] = tj[new]
+                n_moves += len(moves)
+            m = EpochMetrics(epoch=0)
+            sim._rebuild_operator(rt, sim._Xg[:, sim._gslice["calculator"]], counts, m)
+            assert np.array_equal(rt.tasks_node, nodes)
+            assert np.array_equal(rt.tasks_exec, execs)
+            assert np.array_equal(rt.shard_assign, want)
+            assert m.n_core_changes == 0
+            assert m.n_shard_moves == n_moves
+            return n_moves
+
+        counts = trace.counts[0].astype(float)
+        assert reapply(counts) == 0  # one core per executor after setup
+        m = EpochMetrics(epoch=0)
+        sim._elasticity(0, 0.0, {"calculator": counts}, m)
+        assert m.n_core_changes > 0
+        assert reapply(rng.permutation(counts)) > 0
+
 
 class TestCapAllocation:
     def test_sums_to_total(self):
@@ -201,3 +239,71 @@ class TestNaiveEC:
             r_nv.migration_rate_mbps() + r_nv.remote_rate_mbps()
             > r_ec.migration_rate_mbps() + r_ec.remote_rate_mbps()
         )
+
+
+def _loop_rebuild(sim, rt, Xop, in_counts, m):
+    """Per-executor, per-node loop form of ``_rebuild_operator``: the
+    reference its array-built task list is checked against."""
+    y, z = rt.op.n_executors, rt.op.shards_per_executor
+    loads = sim.shard_loads_ms(rt, in_counts)
+    new_nodes, new_exec = [], []
+    old_to_new = np.full(rt.n_tasks, -1, dtype=np.int64)
+    for j in range(y):
+        by_node = {}
+        for t in np.flatnonzero(rt.tasks_exec == j):
+            by_node.setdefault(int(rt.tasks_node[t]), []).append(int(t))
+        for i in range(sim.spec.n_nodes):
+            want, olds = int(Xop[i, j]), by_node.get(i, [])
+            for r, t in enumerate(olds[:want]):
+                old_to_new[t] = len(new_nodes) + r
+            new_nodes += [i] * want
+            new_exec += [j] * want
+    nodes, execs = np.array(new_nodes), np.array(new_exec)
+    new_assign = old_to_new[rt.shard_assign]
+    for j in range(y):
+        tj, sj = np.flatnonzero(execs == j), np.arange(j * z, (j + 1) * z)
+        pos = np.full(len(nodes), -1)
+        pos[tj] = np.arange(len(tj))
+        glob = new_assign[sj]
+        loc = np.where(glob >= 0, pos[np.maximum(glob, 0)], -1)
+        lj = loads[sj]
+        tl = np.bincount(loc[loc >= 0], weights=lj[loc >= 0], minlength=len(tj))
+        orphans = np.flatnonzero(loc < 0)
+        for s in orphans[np.argsort(-lj[orphans])]:
+            d = int(np.argmin(tl))
+            loc[s] = d
+            tl[d] += lj[s]
+            old_node = int(rt.tasks_node[rt.shard_assign[sj[s]]])
+            sim._charge_move(rt, m, int(sj[s]), old_node, int(nodes[tj[d]]))
+        if len(tj) > 1:
+            loc, moves = rebalance(lj, loc, len(tj), sim.cfg.theta)
+            for mv in moves:
+                src, dst = int(nodes[tj[mv.src]]), int(nodes[tj[mv.dst]])
+                sim._charge_move(rt, m, int(sj[mv.shard]), src, dst)
+        new_assign[sj] = tj[loc]
+    rt.tasks_node, rt.tasks_exec, rt.shard_assign = nodes, execs, new_assign
+
+
+class TestRebuildMatchesLoopReference:
+    @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
+    def test_same_run(self, cls):
+        class Reference(cls):
+            _rebuild_operator = _loop_rebuild
+
+        ops = [
+            OperatorSpec(name=name, cpu_cost_ms=1.0, tuple_bytes=128, n_executors=y, shards_per_executor=32)
+            for name, y in (("a", 8), ("b", 4))
+        ]
+        t = Topology(ops, [("a", "b")])
+        cfg = EngineConfig(spec=ClusterSpec(n_nodes=8, cores_per_node=8), warmup_epochs=0)
+        trace = micro_trace(n_epochs=20, rate=20_000, n_keys=2000, omega=8, skew=1.0, seed=0)
+        got, ref = cls(t, cfg), Reference(t, cfg)
+        r_got, r_ref = got.run(trace), ref.run(trace)
+        assert sum(e.n_core_changes for e in r_ref.epochs) > 0
+        assert sum(e.migrated_bytes for e in r_ref.epochs) > 0
+        assert r_got.to_frame().drop(columns=["sched_ms"]).equals(
+            r_ref.to_frame().drop(columns=["sched_ms"])
+        )
+        for name in ("a", "b"):
+            for f in ("tasks_node", "tasks_exec", "shard_assign"):
+                assert np.array_equal(getattr(got.ops[name], f), getattr(ref.ops[name], f))

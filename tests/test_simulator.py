@@ -67,6 +67,11 @@ class TestConservation:
         for e in r.epochs:
             assert e.processed <= cap * 1.001
 
+    def test_trace_epoch_must_match_config(self):
+        trace = micro_trace(n_epochs=3, rate=1000, n_keys=50, omega=0, seed=0, epoch_s=0.5)
+        with pytest.raises(ValueError, match="epoch"):
+            run_static(trace)
+
 
 class TestBackpressure:
     def test_overload_throttles_spout(self):

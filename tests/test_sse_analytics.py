@@ -212,3 +212,21 @@ class TestEventsOracle:
             """,
             tx=tx,
         )
+
+
+class TestOracleNegative:
+    """The oracle must fail on a wrong result, not only pass a right one."""
+
+    def test_oracle_catches_wrong_result(self, tx):
+        wrong = tx.groupBy("stock").agg((F.sum("volume") + 1).alias("volume"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong, "SELECT stock, sum(volume) AS volume FROM tx GROUP BY stock", tx=tx
+            )
+
+    def test_oracle_catches_column_mismatch(self, tx):
+        got = tx.groupBy("stock").agg(F.count(F.lit(1)).alias("wrong_name"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                got, "SELECT stock, count(*) AS n FROM tx GROUP BY stock", tx=tx
+            )

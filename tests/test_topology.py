@@ -52,10 +52,6 @@ class TestTopology:
         order = t.topo_order()
         assert order.index("a") < order.index("b") < order.index("c")
 
-    def test_n_upstream_executors(self):
-        t = Topology([op("a", y=7), op("b", y=3), op("c")], [("a", "c"), ("b", "c")])
-        assert t.n_upstream_executors("c") == 10
-
     def test_linear_topology(self):
         t = linear_topology(op("x"), op("y"), op("z"))
         assert t.edges == [("x", "y"), ("y", "z")]
