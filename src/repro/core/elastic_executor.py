@@ -8,8 +8,10 @@ streams:
   executor.  Upstream operators only ever talk to the receiver, so shard
   reassignments never require inter-operator synchronisation.
 * **Two-tier routing table** — tier 1 statically hashes keys to shards
-  (:func:`repro.core.shards.key_to_shard`); tier 2 is the dynamic
-  shard→task map updated by reassignments.
+  (:func:`repro.core.shards.key_to_shard`, on a Python-int key its
+  scalar XXH64 twin); tier 2 is the dynamic shard→task map updated by
+  reassignments.  Routing a tuple is O(1): one hash, one list index and
+  one dict lookup from task id to task.
 * **Tasks** — one data-processing "thread" per assigned CPU core, each
   with a FIFO pending queue, hosted by a per-node process that owns a
   shared :class:`~repro.core.state.StateStore`.
@@ -40,7 +42,7 @@ from repro.substrate.cluster import ClusterSpec
 _LABEL = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class Tuple:
     """One data tuple: key, payload, and a monotone arrival sequence
     number assigned by the receiver (used to verify FIFO order)."""
@@ -60,17 +62,21 @@ class _Reassignment:
 
 class StateAccessor:
     """Per-key state interface handed to user processing functions —
-    the ``ElasticBolt`` state API of §5."""
+    the ``ElasticBolt`` state API of §5.  The shard is created in the
+    store on the first ``get``/``put``, never by building the accessor,
+    so a tuple that touches no state leaves no shard behind."""
+
+    __slots__ = ("_store", "_shard")
 
     def __init__(self, store: StateStore, shard_id: int) -> None:
         self._store = store
         self._shard = shard_id
 
     def get(self, key: Any, default: Any = None) -> Any:
-        return self._store.get(self._shard, key, default)
+        return self._store.ensure_shard(self._shard).data.get(key, default)
 
     def put(self, key: Any, value: Any) -> None:
-        self._store.put(self._shard, key, value)
+        self._store.ensure_shard(self._shard).data[key] = value
 
 
 @dataclass
@@ -114,6 +120,8 @@ class ElasticExecutor:
             local_node: StateStore(f"exec{executor_id}@n{local_node}", shard_state_bytes)
         }
         self.tasks: list[Task] = []
+        #: task id -> task, for every task in ``self.tasks``
+        self._task_by_id: dict[int, Task] = {}
         self._next_task_id = 0
         self.shard_to_task: list[int] = []
         self._pending_reassign: dict[int, _Reassignment] = {}
@@ -142,6 +150,7 @@ class ElasticExecutor:
         t = Task(task_id=self._next_task_id, node=node)
         self._next_task_id += 1
         self.tasks.append(t)
+        self._task_by_id[t.task_id] = t
         return t.task_id
 
     def remove_core(self, task_id: int) -> None:
@@ -173,13 +182,15 @@ class ElasticExecutor:
         done = {tid for tid in self._draining if not self._task(tid).pending}
         if done:
             self.tasks = [t for t in self.tasks if t.task_id not in done]
+            for tid in done:
+                del self._task_by_id[tid]
             self._draining -= done
 
     def _task(self, task_id: int) -> Task:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise KeyError(f"task {task_id}")
+        try:
+            return self._task_by_id[task_id]
+        except KeyError:
+            raise KeyError(f"task {task_id}") from None
 
     # ------------------------------------------------------------------
     # receiver / routing (single entrance, §3.3)
@@ -195,7 +206,7 @@ class ElasticExecutor:
         if pending is not None:
             pending.buffered.append(tup)
             return
-        self._task(self.shard_to_task[shard]).pending.append((shard, tup))
+        self._task_by_id[self.shard_to_task[shard]].pending.append((shard, tup))
 
     # ------------------------------------------------------------------
     # consistent shard reassignment (§3.3)
@@ -249,36 +260,39 @@ class ElasticExecutor:
         ``max_tuples`` queue entries each, FIFO.  Returns the number of
         data tuples processed."""
         targets = [self._task(task_id)] if task_id is not None else list(self.tasks)
+        fn, emitted = self.fn, self.emitted
         processed = 0
         for t in targets:
+            pending, store = t.pending, self._stores[t.node]
             for _ in range(max_tuples):
-                if not t.pending:
+                if not pending:
                     break
-                shard, item = t.pending.popleft()
+                shard, item = pending.popleft()
                 if item is _LABEL:
                     self._complete_reassignment(shard)
                     continue
-                store = self._stores[t.node]
-                out = self.fn(item.key, item.value, StateAccessor(store, shard))
+                out = fn(item.key, item.value, StateAccessor(store, shard))
                 if out is not None:
-                    self.emitted.append(Tuple(key=item.key, value=out, seq=item.seq))
+                    emitted.append(Tuple(item.key, out, item.seq))
                 processed += 1
         self._gc_drained_tasks()
         return processed
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> int:
-        """Process until every pending queue is empty and no
-        reassignment is outstanding."""
+        """Process until every pending queue is empty.  An outstanding
+        reassignment always has its labeling tuple queued on a live task
+        (a draining task is collected only once its queue is empty), so
+        one left over with every queue empty is a protocol bug."""
         total = 0
         for _ in range(max_steps):
-            n = self.step(max_tuples=16)
-            total += n
-            if n == 0 and not any(t.pending for t in self.tasks):
-                if not self._pending_reassign:
-                    break
-                # outstanding reassignments whose labels were consumed
-                # would have completed; any left have queued labels only
-                # on tasks — keep stepping (handled above), else break.
+            total += self.step(max_tuples=16)
+            if not any(t.pending for t in self.tasks):
+                if self._pending_reassign:
+                    raise RuntimeError(
+                        f"shards {sorted(self._pending_reassign)} are being "
+                        "reassigned but no labeling tuple is queued"
+                    )
+                break
         return total
 
     # ------------------------------------------------------------------

@@ -51,9 +51,10 @@ class StateStore:
 
     # -- shard lifecycle ------------------------------------------------
     def ensure_shard(self, shard_id: int) -> ShardState:
-        if shard_id not in self._shards:
-            self._shards[shard_id] = ShardState(shard_id, self.default_shard_bytes)
-        return self._shards[shard_id]
+        shard = self._shards.get(shard_id)
+        if shard is None:
+            shard = self._shards[shard_id] = ShardState(shard_id, self.default_shard_bytes)
+        return shard
 
     def has_shard(self, shard_id: int) -> bool:
         return shard_id in self._shards

@@ -105,6 +105,19 @@ class TestScaling:
         assert ex.run_until_idle() == 20
         assert [t.task_id for t in ex.tasks] == [0]
 
+    def test_drained_task_is_gone(self):
+        ex = make_exec(n_shards=4)
+        t1 = ex.add_core(0)
+        ex.shard_to_task = [0, t1, 0, t1]
+        for i in range(8):
+            ex.receive(i, i)
+        ex.remove_core(t1)
+        ex.run_until_idle()
+        with pytest.raises(KeyError, match=f"task {t1}"):
+            ex._task(t1)
+        with pytest.raises(KeyError, match=f"task {t1}"):
+            ex.remove_core(t1)
+
     def test_remove_core_retargets_inflight_move(self):
         """Removing the destination of an in-flight reassignment sends
         the shard to the shortest-queue survivor, with FIFO order and
@@ -224,6 +237,35 @@ class TestConsistentReassignment:
         ex.reassign_shard(0, t1)
         ex.run_until_idle()
         assert ex.shard_to_task[0] == t1
+
+    def test_stateless_fn_creates_no_shard(self):
+        """A shard appears in a store on the first state access only, so
+        moving a shard no tuple touched state of migrates nothing."""
+        ex = make_exec(n_shards=4, fn=lambda k, v, s: v)
+        remote = ex.add_core(1)
+        key = 5
+        shard = shard_hash.key_to_shard(key, 4)
+        for i in range(3):
+            ex.receive(key, i)
+        ex.reassign_shard(shard, remote)
+        ex.receive(key, 3)
+        ex.run_until_idle()
+        assert [t.value for t in ex.emitted] == [0, 1, 2, 3]
+        assert ex.shard_to_task[shard] == remote
+        assert not ex.store_on(0).has_shard(shard)
+        assert not ex.store_on(1).has_shard(shard)
+        assert ex.migrated_bytes == 0
+
+    def test_outstanding_reassignment_without_label_raises(self):
+        """Every outstanding reassignment has its label queued; one left
+        with every queue empty is a protocol bug, not more work."""
+        from repro.core.elastic_executor import _Reassignment
+
+        ex = make_exec(n_shards=2)
+        t1 = ex.add_core(0)
+        ex._pending_reassign[0] = _Reassignment(0, 0, t1)
+        with pytest.raises(RuntimeError, match="labeling tuple"):
+            ex.run_until_idle()
 
     def test_buffered_tuples_not_processed_before_label(self):
         """While the shard is paused, buffered tuples must not overtake

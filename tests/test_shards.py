@@ -57,6 +57,53 @@ class TestHashing:
             shards.key_to_executor(np.array([1]), -1)
 
 
+class TestScalarTwin:
+    """One integer key hashes through the Python-int twin of ``_xxh64``;
+    it must agree bit for bit with the NumPy path, the reference."""
+
+    EDGES = [-(2**63), -1, 0, 2**63 - 1, 2**63, 2**64 - 1]
+
+    @staticmethod
+    def as_u64(keys):
+        """The keys as NumPy casts them to uint64 (two's complement)."""
+        return np.array([k % 2**64 for k in keys], dtype=np.uint64)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    @pytest.mark.parametrize("salt", [0x51ED, 0, 0xDEADBEEF, 2**64 - 1])
+    def test_key_to_shard_matches_numpy(self, n, salt):
+        keys = list(range(-1000, 100_000)) + self.EDGES
+        expected = shards.key_to_shard(self.as_u64(keys), n, salt).tolist()
+        assert [shards.key_to_shard(k, n, salt) for k in keys] == expected
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_key_to_executor_matches_numpy(self, n):
+        keys = list(range(-1000, 100_000)) + self.EDGES
+        expected = shards.key_to_executor(self.as_u64(keys), n).tolist()
+        assert [shards.key_to_executor(k, n) for k in keys] == expected
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_numpy_integer_scalars(self, dtype):
+        info = np.iinfo(dtype)
+        keys = [info.min, info.max, 0, 1, 12345]
+        for n in (7, 256):
+            expected = shards.key_to_shard(np.array(keys, dtype=dtype), n).tolist()
+            assert [shards.key_to_shard(dtype(k), n) for k in keys] == expected
+            expected = shards.key_to_executor(np.array(keys, dtype=dtype), n).tolist()
+            assert [shards.key_to_executor(dtype(k), n) for k in keys] == expected
+
+    def test_scalar_results_are_python_ints(self):
+        for k in [5, np.int64(5), np.uint64(5), np.int32(-5), 2**64 - 1]:
+            assert isinstance(shards.key_to_shard(k, 8), int)
+            assert isinstance(shards.key_to_executor(k, 8), int)
+
+    @pytest.mark.parametrize("key", [2**64, 2**70, -(2**63) - 1, -(2**80)])
+    def test_out_of_range_ints_raise(self, key):
+        with pytest.raises(OverflowError):
+            shards.key_to_shard(key, 8)
+        with pytest.raises(OverflowError):
+            shards.key_to_executor(key, 8)
+
+
 class TestSqlTwin:
     """The Spark SQL expressions must match NumPy bit-for-bit — shard
     histograms computed by Catalyst feed the same engine arithmetic."""
