@@ -73,10 +73,10 @@ class StateAccessor:
         self._shard = shard_id
 
     def get(self, key: Any, default: Any = None) -> Any:
-        return self._store.ensure_shard(self._shard).data.get(key, default)
+        return self._store.get(self._shard, key, default)
 
     def put(self, key: Any, value: Any) -> None:
-        self._store.ensure_shard(self._shard).data[key] = value
+        self._store.put(self._shard, key, value)
 
 
 @dataclass

@@ -22,11 +22,14 @@ here twice:
   receiver; the twin is several times cheaper.  ``tests/test_shards.py``
   checks the two agree bit-for-bit.
 
-:func:`key_to_shard` and :func:`key_to_executor` take the scalar twin
-for a Python ``int`` or NumPy integer scalar in [−2⁶³, 2⁶⁴) — the range
-NumPy casts to ``uint64`` — and the NumPy path for everything else, so
-an out-of-range int raises ``OverflowError`` exactly as before.  Using
-the builtin on the SQL side sidesteps ANSI-mode overflow checking,
+:func:`key_to_shard` — the hash the receiver runs once per tuple —
+takes the scalar twin for a Python ``int`` or NumPy integer scalar in
+[−2⁶³, 2⁶⁴) — the range NumPy casts to ``uint64`` — and the NumPy path
+for everything else, so an out-of-range int raises ``OverflowError``
+exactly as before.  :func:`key_to_executor` always takes the NumPy
+path: its callers hash whole arrays of keys.
+
+Using the builtin on the SQL side sidesteps ANSI-mode overflow checking,
 which forbids wraparound ``*``/``+`` in BIGINT expressions.
 
 The 64-bit hash is truncated to 63 bits (``>> 1``) before the modulo so
@@ -104,9 +107,6 @@ def key_to_executor(keys: np.ndarray | int, n_executors: int) -> np.ndarray | in
     """Tier-1 static operator-level partitioning: key → executor id."""
     if n_executors <= 0:
         raise ValueError("n_executors must be positive")
-    h = _xxh64_int(keys, 0)
-    if h is not None:
-        return h % int(n_executors)
     arr = np.asarray(keys, dtype=np.uint64)
     out = _xxh64(arr) % np.uint64(n_executors)
     return int(out) if np.isscalar(keys) or arr.shape == () else out.astype(np.int64)

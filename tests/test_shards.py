@@ -58,8 +58,9 @@ class TestHashing:
 
 
 class TestScalarTwin:
-    """One integer key hashes through the Python-int twin of ``_xxh64``;
-    it must agree bit for bit with the NumPy path, the reference."""
+    """One integer key hashes through the Python-int twin of ``_xxh64``
+    in :func:`key_to_shard`; it must agree bit for bit with the NumPy
+    path, the reference."""
 
     EDGES = [-(2**63), -1, 0, 2**63 - 1, 2**63, 2**64 - 1]
 
@@ -75,12 +76,6 @@ class TestScalarTwin:
         expected = shards.key_to_shard(self.as_u64(keys), n, salt).tolist()
         assert [shards.key_to_shard(k, n, salt) for k in keys] == expected
 
-    @pytest.mark.parametrize("n", [1, 7, 64, 256])
-    def test_key_to_executor_matches_numpy(self, n):
-        keys = list(range(-1000, 100_000)) + self.EDGES
-        expected = shards.key_to_executor(self.as_u64(keys), n).tolist()
-        assert [shards.key_to_executor(k, n) for k in keys] == expected
-
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_numpy_integer_scalars(self, dtype):
         info = np.iinfo(dtype)
@@ -88,18 +83,42 @@ class TestScalarTwin:
         for n in (7, 256):
             expected = shards.key_to_shard(np.array(keys, dtype=dtype), n).tolist()
             assert [shards.key_to_shard(dtype(k), n) for k in keys] == expected
-            expected = shards.key_to_executor(np.array(keys, dtype=dtype), n).tolist()
-            assert [shards.key_to_executor(dtype(k), n) for k in keys] == expected
 
     def test_scalar_results_are_python_ints(self):
         for k in [5, np.int64(5), np.uint64(5), np.int32(-5), 2**64 - 1]:
             assert isinstance(shards.key_to_shard(k, 8), int)
-            assert isinstance(shards.key_to_executor(k, 8), int)
 
     @pytest.mark.parametrize("key", [2**64, 2**70, -(2**63) - 1, -(2**80)])
     def test_out_of_range_ints_raise(self, key):
         with pytest.raises(OverflowError):
             shards.key_to_shard(key, 8)
+
+
+class TestScalarExecutor:
+    """:func:`key_to_executor` has no scalar twin: one key takes the same
+    NumPy path as an array of keys.  The scalar and array forms must
+    agree, and a scalar result must be a Python ``int``."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_matches_array(self, n):
+        keys = list(range(-1000, 1000)) + TestScalarTwin.EDGES
+        expected = shards.key_to_executor(TestScalarTwin.as_u64(keys), n).tolist()
+        assert [shards.key_to_executor(k, n) for k in keys] == expected
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_numpy_integer_scalars(self, dtype):
+        info = np.iinfo(dtype)
+        keys = [info.min, info.max, 0, 1, 12345]
+        for n in (7, 256):
+            expected = shards.key_to_executor(np.array(keys, dtype=dtype), n).tolist()
+            assert [shards.key_to_executor(dtype(k), n) for k in keys] == expected
+
+    def test_scalar_results_are_python_ints(self):
+        for k in [5, np.int64(5), np.uint64(5), np.int32(-5), 2**64 - 1]:
+            assert isinstance(shards.key_to_executor(k, 8), int)
+
+    @pytest.mark.parametrize("key", [2**64, 2**70, -(2**63) - 1, -(2**80)])
+    def test_out_of_range_ints_raise(self, key):
         with pytest.raises(OverflowError):
             shards.key_to_executor(key, 8)
 
