@@ -44,23 +44,19 @@ class AssignmentResult:
 
 
 def migration_cost_bytes(X_new: np.ndarray, X_old: np.ndarray, state_bytes: np.ndarray) -> float:
-    """C(X | X~) = sum_j sum_i max(0, s_j x~_ij / X~_j - s_j x_ij / X_j)."""
+    """C(X | X~) = sum_j sum_i max(0, s_j x~_ij / X~_j - s_j x_ij / X_j).
+
+    An executor with no cores holds no share: with no old cores it moves
+    nothing, with no new cores it loses all it had."""
+    s = np.asarray(state_bytes, dtype=float)
+
+    def shares(X: np.ndarray) -> np.ndarray:
+        tot = X.sum(axis=0)
+        return np.where(tot > 0, s * X / np.where(tot > 0, tot, 1.0), 0.0)
+
     X_new = np.asarray(X_new, dtype=float)
     X_old = np.asarray(X_old, dtype=float)
-    tot_new = X_new.sum(axis=0)
-    tot_old = X_old.sum(axis=0)
-    cost = 0.0
-    for j in range(X_new.shape[1]):
-        if tot_old[j] <= 0:
-            continue
-        old_share = state_bytes[j] * X_old[:, j] / tot_old[j]
-        new_share = (
-            state_bytes[j] * X_new[:, j] / tot_new[j]
-            if tot_new[j] > 0
-            else np.zeros_like(old_share)
-        )
-        cost += np.maximum(0.0, old_share - new_share).sum()
-    return float(cost)
+    return float(np.maximum(0.0, shares(X_old) - shares(X_new)).sum())
 
 
 def _alloc_cost(s_j: float, X_j: float, x_ij: float) -> float:
@@ -90,7 +86,6 @@ def _greedy(
     if (free < 0).any():
         raise ValueError("existing assignment exceeds node capacity")
     intensive = data_intensity > phi
-    over = lambda: np.flatnonzero(Xj > k)  # noqa: E731
     under = np.flatnonzero(Xj < k)
     # data-intensive first (descending intensity): they are the most
     # constrained, so serve them while local cores are still available.
@@ -98,6 +93,7 @@ def _greedy(
     for j in under:
         while Xj[j] < k[j]:
             nodes = [int(local_node[j])] if intensive[j] else list(range(n))
+            over = np.flatnonzero(Xj > k)  # Xj is fixed while nodes are scanned
             # key = (cost, not-local, node): on cost ties prefer the
             # executor's local node, improving computation locality at
             # zero migration cost.
@@ -109,7 +105,7 @@ def _greedy(
                     key = (c, *tie)
                     if best is None or key < best[0]:
                         best = (key, i, None)
-                for jp in over():
+                for jp in over:
                     if jp == j or X[i, jp] <= 0:
                         continue
                     c = _dealloc_cost(state_bytes[jp], Xj[jp], X[i, jp]) + _alloc_cost(
@@ -129,7 +125,7 @@ def _greedy(
             X[i, j] += 1
             Xj[j] += 1
     # release any remaining over-provisioned cores back to the pool
-    for jp in over():
+    for jp in np.flatnonzero(Xj > k):
         while Xj[jp] > k[jp]:
             # cheapest node to vacate
             cand = np.flatnonzero(X[:, jp] > 0)

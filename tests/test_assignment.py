@@ -16,7 +16,53 @@ def simple_cluster(n_nodes=4, cores=8):
     return np.full(n_nodes, cores, dtype=np.int64)
 
 
+def _migration_cost_loop(X_new, X_old, state_bytes):
+    """Per-executor loop form of ``migration_cost_bytes``: the reference
+    the vectorised form is checked against."""
+    X_new = np.asarray(X_new, dtype=float)
+    X_old = np.asarray(X_old, dtype=float)
+    tot_new = X_new.sum(axis=0)
+    tot_old = X_old.sum(axis=0)
+    cost = 0.0
+    for j in range(X_new.shape[1]):
+        if tot_old[j] <= 0:
+            continue
+        old_share = state_bytes[j] * X_old[:, j] / tot_old[j]
+        new_share = (
+            state_bytes[j] * X_new[:, j] / tot_new[j]
+            if tot_new[j] > 0
+            else np.zeros_like(old_share)
+        )
+        cost += np.maximum(0.0, old_share - new_share).sum()
+    return float(cost)
+
+
+@st.composite
+def _layouts(draw):
+    """(X_new, X_old, state_bytes) with cores drawn from 0..4 per cell,
+    so whole columns are often zero on either side."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, 4), min_size=n * m, max_size=n * m)
+    X_new = np.array(draw(cells), dtype=np.int64).reshape(n, m)
+    X_old = np.array(draw(cells), dtype=np.int64).reshape(n, m)
+    for X in (X_new, X_old):
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+            X[:, j] = 0
+    s = np.array(draw(st.lists(st.floats(0.0, 1e9), min_size=m, max_size=m)))
+    return X_new, X_old, s
+
+
 class TestMigrationCost:
+    @given(_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_reference(self, layout):
+        X_new, X_old, s = layout
+        assert migration_cost_bytes(X_new, X_old, s) == pytest.approx(
+            _migration_cost_loop(X_new, X_old, s), rel=1e-12, abs=0.0
+        )
+        assert migration_cost_bytes(X_old, X_old, s) == 0.0
+
     def test_no_change_no_cost(self):
         X = np.array([[2, 0], [0, 2]])
         s = np.array([100.0, 100.0])

@@ -241,6 +241,17 @@ class TestNaiveEC:
         )
 
 
+def _charge_move(sim, rt, m, shard, src_node, dst_node):
+    """One move's §3.3 charge, added move by move: the sequential
+    accumulation the engine's batched charging must equal bit for bit."""
+    sync, mig = sim.spec.ec_shard_reassign_ms(rt.op.shard_state_bytes, src_node != dst_node)
+    rt.pause_ms[shard] += sync + mig
+    m.sync_ms += sync
+    if src_node != dst_node:
+        m.migrated_bytes += rt.op.shard_state_bytes
+    m.n_shard_moves += 1
+
+
 def _loop_rebuild(sim, rt, Xop, in_counts, m):
     """Per-executor, per-node loop form of ``_rebuild_operator``: the
     reference its array-built task list is checked against."""
@@ -274,19 +285,32 @@ def _loop_rebuild(sim, rt, Xop, in_counts, m):
             loc[s] = d
             tl[d] += lj[s]
             old_node = int(rt.tasks_node[rt.shard_assign[sj[s]]])
-            sim._charge_move(rt, m, int(sj[s]), old_node, int(nodes[tj[d]]))
+            _charge_move(sim, rt, m, int(sj[s]), old_node, int(nodes[tj[d]]))
         if len(tj) > 1:
             loc, moves = rebalance(lj, loc, len(tj), sim.cfg.theta)
             for mv in moves:
                 src, dst = int(nodes[tj[mv.src]]), int(nodes[tj[mv.dst]])
-                sim._charge_move(rt, m, int(sj[mv.shard]), src, dst)
+                _charge_move(sim, rt, m, int(sj[mv.shard]), src, dst)
         new_assign[sj] = tj[loc]
     rt.tasks_node, rt.tasks_exec, rt.shard_assign = nodes, execs, new_assign
 
 
 class TestRebuildMatchesLoopReference:
+    """The screened, batched rebuild against the per-executor loop, with
+    non-integer protocol costs (batched charging must still equal the
+    per-move sums) and θ on both sides of the executors' δ."""
+
+    @pytest.mark.parametrize("theta", [1.05, 1.2, 2.0])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ClusterSpec(n_nodes=8, cores_per_node=8),
+            ClusterSpec(n_nodes=8, cores_per_node=8, ec_sync_ms=2.1, migration_proto_ms=0.7),
+        ],
+        ids=["paper-costs", "fractional-costs"],
+    )
     @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
-    def test_same_run(self, cls):
+    def test_same_run(self, cls, spec, theta):
         class Reference(cls):
             _rebuild_operator = _loop_rebuild
 
@@ -295,7 +319,7 @@ class TestRebuildMatchesLoopReference:
             for name, y in (("a", 8), ("b", 4))
         ]
         t = Topology(ops, [("a", "b")])
-        cfg = EngineConfig(spec=ClusterSpec(n_nodes=8, cores_per_node=8), warmup_epochs=0)
+        cfg = EngineConfig(spec=spec, warmup_epochs=0, theta=theta)
         trace = micro_trace(n_epochs=20, rate=20_000, n_keys=2000, omega=8, skew=1.0, seed=0)
         got, ref = cls(t, cfg), Reference(t, cfg)
         r_got, r_ref = got.run(trace), ref.run(trace)
@@ -305,5 +329,29 @@ class TestRebuildMatchesLoopReference:
             r_ref.to_frame().drop(columns=["sched_ms"])
         )
         for name in ("a", "b"):
-            for f in ("tasks_node", "tasks_exec", "shard_assign"):
+            for f in ("tasks_node", "tasks_exec", "shard_assign", "pause_ms"):
                 assert np.array_equal(getattr(got.ops[name], f), getattr(ref.ops[name], f))
+
+
+class TestOrphanPlacement:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="orphans of an executor with no surviving shard are placed "
+        "on running loads truncated to ints (ROADMAP: behaviour change)",
+    )
+    def test_all_orphaned_placed_by_float_load(self):
+        """Every shard of the executor loses its task; four shards of
+        0.3 ms onto two new tasks must go two and two, so δ = 1 and the
+        balancer moves nothing after the four re-homing moves."""
+        sim = ElasticutorSim(topo(y=1, z=4, cost=0.3), EngineConfig(spec=spec(n=2, c=2), warmup_epochs=0))
+        sim.setup(200)
+        rt = sim.ops["calculator"]
+        counts = np.zeros(200)
+        for s in range(4):
+            counts[np.flatnonzero(rt.key_to_shard == s)[0]] = 1.0
+        Xop = np.zeros((2, 1), dtype=np.int64)
+        Xop[1 - int(rt.exec_home[0]), 0] = 2  # both cores away from the old task
+        m = EpochMetrics(epoch=0)
+        sim._rebuild_operator(rt, Xop, counts, m)
+        assert np.bincount(rt.shard_assign, minlength=2).tolist() == [2, 2]
+        assert m.n_shard_moves == 4
