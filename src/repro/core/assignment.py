@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_PHI_BYTES_PER_S = 512 * 1024.0  # §4.2: 512 KB/s
+#: times :func:`assign_cores` doubles ``phi`` before dropping locality.
+MAX_PHI_DOUBLINGS = 32
 
 
 @dataclass
@@ -145,7 +147,6 @@ def assign_cores(
     local_node: np.ndarray,
     data_intensity: np.ndarray,
     phi: float = DEFAULT_PHI_BYTES_PER_S,
-    max_phi_doublings: int = 32,
 ) -> AssignmentResult:
     """Algorithm 1 with the §4.2 outer loop: double ``phi`` until a
     feasible assignment is found (relaxing locality), finally dropping
@@ -163,7 +164,7 @@ def assign_cores(
     if k.sum() > cores_per_node.sum():
         raise ValueError("allocation exceeds cluster capacity; cap k first")
     cur_phi = phi
-    for _ in range(max_phi_doublings):
+    for _ in range(MAX_PHI_DOUBLINGS):
         X = _greedy(k, X_old, cores_per_node, state_bytes, local_node, data_intensity, cur_phi)
         if X is not None:
             return AssignmentResult(

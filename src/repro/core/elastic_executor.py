@@ -37,6 +37,7 @@ from typing import Any, Callable
 from repro.core import shards as shard_hash
 from repro.core.state import StateStore
 from repro.substrate.cluster import ClusterSpec
+from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 
 #: sentinel payload marking a labeling tuple in a pending queue.
 _LABEL = object()
@@ -104,7 +105,7 @@ class ElasticExecutor:
         local_node: int,
         fn: Callable[[int, Any, StateAccessor], Any],
         spec: ClusterSpec | None = None,
-        shard_state_bytes: int = 32 * 1024,
+        shard_state_bytes: int = DEFAULT_SHARD_STATE_BYTES,
     ) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
@@ -239,12 +240,10 @@ class ElasticExecutor:
         if src_node != dst_node:
             if src_store.has_shard(shard):
                 state = src_store.export_shard(shard)
-                nbytes = state.size_bytes()
                 self._stores[dst_node].import_shard(state)
-                self.migrated_bytes += nbytes
-                self.migration_ms += (
-                    self.spec.migration_proto_ms + self.spec.transfer_ms(nbytes)
-                )
+                self.migrated_bytes += state.nominal_bytes
+                _, migration_ms = self.spec.ec_shard_reassign_ms(state.nominal_bytes, True)
+                self.migration_ms += migration_ms
         # routing-table update, then resume: flush buffered tuples in
         # arrival order to the destination task.
         self.shard_to_task[shard] = r.dst_task
@@ -296,13 +295,10 @@ class ElasticExecutor:
         return total
 
     # ------------------------------------------------------------------
-    # introspection for tests
+    # introspection (tests and benchmarks)
     # ------------------------------------------------------------------
     def store_on(self, node: int) -> StateStore:
         return self._stores[node]
 
     def queue_sizes(self) -> dict[int, int]:
         return {t.task_id: t.queue_len() for t in self.tasks}
-
-    def shards_of_task(self, task_id: int) -> list[int]:
-        return [s for s, t in enumerate(self.shard_to_task) if t == task_id]

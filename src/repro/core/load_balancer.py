@@ -55,15 +55,14 @@ def rebalance(
     assignment: np.ndarray,
     n_tasks: int,
     theta: float = DEFAULT_THETA,
-    max_rounds: int | None = None,
 ) -> tuple[np.ndarray, list[Move]]:
     """Refine ``assignment`` (shard → task) until δ < ``theta``.
 
     Returns the new assignment and the ordered list of moves.  The input
     array is not mutated.  Shards with zero load are never moved (a move
     has cost but cannot reduce δ).  Terminates when δ < θ, when no move
-    improves δ, or after ``max_rounds`` rounds (default: 4× shard count,
-    a generous bound that in practice is never hit).
+    improves δ, or after 4× shard-count rounds (a generous bound that in
+    practice is never hit).
     """
     loads = np.asarray(shard_loads, dtype=float)
     assign = np.asarray(assignment, dtype=np.int64).copy()
@@ -73,12 +72,10 @@ def rebalance(
         raise ValueError("need at least one task")
     if assign.size and (assign.min() < 0 or assign.max() >= n_tasks):
         raise ValueError("assignment references task out of range")
-    if max_rounds is None:
-        max_rounds = 4 * max(1, loads.size)
 
     tl = task_loads(loads, assign, n_tasks)
     moves: list[Move] = []
-    for _ in range(max_rounds):
+    for _ in range(4 * max(1, loads.size)):
         mean = tl.mean()
         if mean <= 0:
             break

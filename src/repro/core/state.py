@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
+
 
 @dataclass
 class ShardState:
@@ -29,11 +31,8 @@ class ShardState:
     """
 
     shard_id: int
-    nominal_bytes: int = 32 * 1024
+    nominal_bytes: int
     data: dict[Any, Any] = field(default_factory=dict)
-
-    def size_bytes(self) -> int:
-        return self.nominal_bytes
 
 
 class StateStore:
@@ -44,7 +43,7 @@ class StateStore:
     migration-free.
     """
 
-    def __init__(self, process_id: str, default_shard_bytes: int = 32 * 1024) -> None:
+    def __init__(self, process_id: str, default_shard_bytes: int = DEFAULT_SHARD_STATE_BYTES) -> None:
         self.process_id = process_id
         self.default_shard_bytes = default_shard_bytes
         self._shards: dict[int, ShardState] = {}
@@ -69,13 +68,6 @@ class StateStore:
     def put(self, shard_id: int, key: Any, value: Any) -> None:
         self.ensure_shard(shard_id).data[key] = value
 
-    def update(self, shard_id: int, key: Any, fn, default: Any = None) -> Any:
-        """Atomically apply ``fn`` to the current value; returns the new one."""
-        shard = self.ensure_shard(shard_id)
-        new = fn(shard.data.get(key, default))
-        shard.data[key] = new
-        return new
-
     # -- migration ------------------------------------------------------
     def export_shard(self, shard_id: int) -> ShardState:
         """Remove and return a shard's state for migration to another
@@ -90,8 +82,5 @@ class StateStore:
             )
         self._shards[state.shard_id] = state
 
-    def shard_bytes(self, shard_id: int) -> int:
-        return self.ensure_shard(shard_id).size_bytes()
-
     def total_bytes(self) -> int:
-        return sum(s.size_bytes() for s in self._shards.values())
+        return sum(s.nominal_bytes for s in self._shards.values())

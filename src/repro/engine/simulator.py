@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import shards as shard_hash
+from repro.core.load_balancer import DEFAULT_THETA
 from repro.engine.metrics import EpochMetrics, RunResult
 from repro.streams.microbench import Trace
 from repro.substrate.cluster import ClusterSpec
@@ -52,13 +52,11 @@ class EngineConfig:
     #: source-side residual bound per shard, in ms of work; beyond this
     #: tuples are shed (the spout is throttled).
     resid_cap_ms: float = 8000.0
-    theta: float = 1.2
-    phi_bytes_per_s: float = 512 * 1024.0
+    theta: float = DEFAULT_THETA
     warmup_epochs: int = 5
     #: parallelism of the external spout feeding the source operators —
     #: part of RC's upstream-synchronisation cost (Fig. 9a).
     spout_executors: int = 32
-    seed: int = 0
 
 
 @dataclass
@@ -106,14 +104,6 @@ class OpRuntime:
     def n_tasks(self) -> int:
         return len(self.tasks_node)
 
-    def exec_shards(self, j: int) -> np.ndarray:
-        """Shard indices owned by executor ``j`` (EC layout: contiguous)."""
-        z = self.op.shards_per_executor
-        return np.arange(j * z, (j + 1) * z)
-
-    def exec_tasks(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.tasks_exec == j)
-
 
 class BaseSim:
     """Shared data plane; paradigms override the three hooks."""
@@ -124,11 +114,9 @@ class BaseSim:
         self.topology = topology
         self.cfg = config or EngineConfig()
         self.spec = self.cfg.spec
-        self.rng = np.random.default_rng(self.cfg.seed)
         self.ops: dict[str, OpRuntime] = {}
         self._order = topology.topo_order()
         self._core_split = self._split_cores()
-        self._cores_used = np.zeros(self.spec.n_nodes, dtype=np.int64)
         self._rr_cursor = 0
 
     # ------------------------------------------------------------------
@@ -166,20 +154,13 @@ class BaseSim:
 
     def _take_cores(self, n: int) -> np.ndarray:
         """Reserve ``n`` cores round-robin across nodes (the paper's
-        executor placement), skipping full nodes.  Returns node ids."""
-        out = np.empty(n, dtype=np.int64)
-        nn = self.spec.n_nodes
-        for i in range(n):
-            for _ in range(nn):
-                node = self._rr_cursor % nn
-                self._rr_cursor += 1
-                if self._cores_used[node] < self.spec.cores_per_node:
-                    self._cores_used[node] += 1
-                    out[i] = node
-                    break
-            else:
-                raise RuntimeError("cluster out of cores during layout")
-        return out
+        executor placement).  Returns node ids.  Every node has the same
+        core count, so no node fills before the whole cluster does."""
+        start = self._rr_cursor
+        if start + n > self.spec.total_cores:
+            raise RuntimeError("cluster out of cores during layout")
+        self._rr_cursor += n
+        return (start + np.arange(n, dtype=np.int64)) % self.spec.n_nodes
 
     def n_upstream_executors(self, name: str) -> int:
         """Executor parallelism upstream of ``name`` — external spout
@@ -324,13 +305,10 @@ class BaseSim:
         cap_t = np.full(n_tasks, cap_ms / cost)
 
         # ---- NIC throttling + remote traffic accounting ----
-        # The emitter replicates each output tuple to every downstream
-        # operator, so a remote task's traffic is input + fanout×output.
-        fanout = max(1, len(self.topology.downstreams(op.name)))
         remote = rt.tasks_node != rt.exec_home[rt.tasks_exec]
         if remote.any():
             a_t = np.bincount(assign, weights=a, minlength=n_tasks)
-            bytes_t = a_t * (op.tuple_bytes + op.selectivity * op.output_bytes * fanout)
+            bytes_t = a_t * self.topology.link_bytes_per_tuple(op.name)
             nic_cap = self.spec.nic_bytes_per_s * cfg.epoch_s
             for h in np.unique(rt.exec_home[rt.tasks_exec[remote]]):
                 mask = remote & (rt.exec_home[rt.tasks_exec] == h)

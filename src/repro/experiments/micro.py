@@ -38,7 +38,6 @@ def micro_topology(
     shards_per_executor: int = 256,
     cpu_cost_ms: float = 1.0,
     tuple_bytes: int = 128,
-    shard_state_bytes: int = 32 * 1024,
 ) -> Topology:
     """The Fig. 5 calculator operator with §5.1 defaults."""
     return Topology(
@@ -49,7 +48,6 @@ def micro_topology(
                 tuple_bytes=tuple_bytes,
                 n_executors=n_executors,
                 shards_per_executor=shards_per_executor,
-                shard_state_bytes=shard_state_bytes,
             )
         ],
         [],

@@ -20,9 +20,10 @@ import pandas as pd
 
 from repro.core.elastic_executor import ElasticExecutor
 from repro.substrate.cluster import ClusterSpec
+from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 
 
-def measured_ec_sync_ms(spec: ClusterSpec | None = None, n_inflight: int = 50) -> float:
+def measured_ec_sync_ms(spec: ClusterSpec | None = None) -> float:
     """Run a real labeling-tuple reassignment with in-flight tuples on
     the tuple-level executor and report the charged sync time."""
     spec = spec or ClusterSpec()
@@ -30,7 +31,7 @@ def measured_ec_sync_ms(spec: ClusterSpec | None = None, n_inflight: int = 50) -
         0, n_shards=8, local_node=0, fn=lambda k, v, st: v, spec=spec
     )
     t1 = ex.add_core(0)
-    for i in range(n_inflight):
+    for i in range(50):  # tuples in flight when the move starts
         ex.receive(i, i)
     shard = 0
     ex.reassign_shard(shard, t1)
@@ -38,9 +39,7 @@ def measured_ec_sync_ms(spec: ClusterSpec | None = None, n_inflight: int = 50) -
     return ex.sync_ms / max(1, ex.n_reassignments)
 
 
-def reassignment_breakdown(
-    *, state_bytes: int = 32 * 1024, n_upstream: int = 64, shards_per_repartition: int = 100
-) -> pd.DataFrame:
+def reassignment_breakdown(*, state_bytes: int = DEFAULT_SHARD_STATE_BYTES) -> pd.DataFrame:
     """Fig. 8: per-shard reassignment time (ms), sync vs migration."""
     spec = ClusterSpec()
     rows = []
@@ -55,8 +54,9 @@ def reassignment_breakdown(
                 "total_ms": ec_sync + ec_mig,
             }
         )
-        # RC amortises one global barrier over the shards it moves
-        rc_sync = spec.rc_sync_ms(n_upstream) / shards_per_repartition
+        # RC amortises one global barrier (64 upstream executors) over
+        # the 100 shards one repartitioning moves
+        rc_sync = spec.rc_sync_ms(64) / 100
         rc_mig = spec.rc_shard_migration_ms(state_bytes, inter)
         rows.append(
             {
@@ -89,7 +89,7 @@ def sync_vs_upstream(upstream_counts=(1, 4, 16, 64, 256)) -> pd.DataFrame:
 
 
 def migration_vs_state(
-    state_sizes=(32 * 1024, 1 << 20, 1 << 23, 1 << 25)
+    state_sizes=(DEFAULT_SHARD_STATE_BYTES, 1 << 20, 1 << 23, 1 << 25)
 ) -> pd.DataFrame:
     """Fig. 9(b): migration time vs shard state size, intra/inter-node."""
     spec = ClusterSpec()

@@ -101,15 +101,7 @@ class ElasticutorSim(BaseSim):
         data_intensity: np.ndarray,
     ) -> AssignmentResult:
         cores = np.full(self.spec.n_nodes, self.spec.cores_per_node, dtype=np.int64)
-        return assign_cores(
-            k,
-            self._Xg,
-            cores,
-            state_bytes,
-            local_node,
-            data_intensity,
-            phi=self.cfg.phi_bytes_per_s,
-        )
+        return assign_cores(k, self._Xg, cores, state_bytes, local_node, data_intensity)
 
     def _elasticity(
         self, epoch: int, now_s: float, arrivals: dict[str, np.ndarray], m: EpochMetrics
@@ -131,13 +123,12 @@ class ElasticutorSim(BaseSim):
             a = np.bincount(rt.key_to_shard, weights=arrivals[name], minlength=op.total_shards)
             demand = (a + rt.queue_n + rt.resid_n).reshape(y, z).sum(axis=1)
             lams[gsl] = demand / cfg.epoch_s
-            mus[gsl] = 1000.0 / op.cpu_cost_ms
+            mus[gsl] = spec.core_capacity_ms_per_s / op.cpu_cost_ms
             sbytes[gsl] = z * op.shard_state_bytes
             local[gsl] = rt.exec_home
-            fanout = max(1, len(self.topology.downstreams(name)))
-            per_tuple_bytes = op.tuple_bytes + op.selectivity * op.output_bytes * fanout
             arr_rate = a.reshape(y, z).sum(axis=1) / cfg.epoch_s
-            dint[gsl] = arr_rate * per_tuple_bytes / np.maximum(kcur[gsl], 1)
+            link_bytes = self.topology.link_bytes_per_tuple(name)
+            dint[gsl] = arr_rate * link_bytes / np.maximum(kcur[gsl], 1)
             if not self.topology.upstreams(name):
                 lam0 += float(arrivals[name].sum()) / cfg.epoch_s
 

@@ -19,7 +19,7 @@ executor counts via :func:`scaled_sse_topology`.
 """
 from __future__ import annotations
 
-from repro.substrate.topology import OperatorSpec, Topology
+from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES, OperatorSpec, Topology
 
 STATS_OPS = ["ma", "index", "vwap", "stats", "positions", "range"]
 EVENT_OPS = ["alarms", "large", "jumps", "surges", "selftrade"]
@@ -29,54 +29,46 @@ TRANSACTION_BYTES = 160
 FILL_RATIO = 0.5
 
 
-def sse_topology(
-    *,
-    transactor_executors: int = 32,
-    downstream_executors: int = 4,
-    shards_per_executor: int = 256,
-    transactor_cost_ms: float = 0.5,
-    stats_cost_ms: float = 0.1,
-    event_cost_ms: float = 0.05,
-    shard_state_bytes: int = 32 * 1024,
-) -> Topology:
+def sse_topology(*, transactor_executors: int = 32, downstream_executors: int = 4) -> Topology:
     """Build the Fig. 14 topology with configurable parallelism."""
     ops = [
         OperatorSpec(
             name="transactor",
-            cpu_cost_ms=transactor_cost_ms,
+            cpu_cost_ms=0.5,
             tuple_bytes=ORDER_BYTES,
             n_executors=transactor_executors,
-            shards_per_executor=shards_per_executor,
+            shards_per_executor=256,
             selectivity=FILL_RATIO,
             out_tuple_bytes=TRANSACTION_BYTES,
-            shard_state_bytes=shard_state_bytes,
         )
     ]
-    downstream_z = max(8, shards_per_executor // 4)
+    # the light downstream operators hold a quarter of the shards and
+    # smaller per-shard state
+    downstream_z = 256 // 4
     for name in STATS_OPS:
         ops.append(
             OperatorSpec(
                 name=name,
-                cpu_cost_ms=stats_cost_ms,
+                cpu_cost_ms=0.1,
                 tuple_bytes=TRANSACTION_BYTES,
                 n_executors=downstream_executors,
                 shards_per_executor=downstream_z,
                 selectivity=0.1,
                 out_tuple_bytes=64,
-                shard_state_bytes=shard_state_bytes // 4,
+                shard_state_bytes=DEFAULT_SHARD_STATE_BYTES // 4,
             )
         )
     for name in EVENT_OPS:
         ops.append(
             OperatorSpec(
                 name=name,
-                cpu_cost_ms=event_cost_ms,
+                cpu_cost_ms=0.05,
                 tuple_bytes=TRANSACTION_BYTES,
                 n_executors=downstream_executors,
                 shards_per_executor=downstream_z,
                 selectivity=0.01,
                 out_tuple_bytes=64,
-                shard_state_bytes=shard_state_bytes // 8,
+                shard_state_bytes=DEFAULT_SHARD_STATE_BYTES // 8,
             )
         )
     edges = [("transactor", n) for n in STATS_OPS + EVENT_OPS]

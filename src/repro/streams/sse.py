@@ -10,7 +10,7 @@ the two properties the evaluation exploits (Fig. 15):
   durations, and the aggregate rate is modulated by a slow sinusoid
   (open/close activity waves);
 * **spatial dynamics** — the stock-popularity ranking drifts: every
-  ``drift_every_s`` a random subset of stocks swaps popularity ranks,
+  ``DRIFT_EVERY_S`` a random subset of stocks swaps popularity ranks,
   shifting the key distribution like the paper's ω-shuffles but
   gentler.
 
@@ -31,19 +31,26 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.sse_app.topology import ORDER_BYTES
 from repro.streams.microbench import Trace, zipf_weights
 
+#: zipf skew of the base stock popularity.
+SKEW = 0.3
+#: per-epoch probability that a stock enters / leaves the hot regime.
+HOT_PROB = 0.03
+HOT_EXIT_PROB = 0.25
+#: rate multiplier of a hot stock.
+HOT_BOOST = 6.0
+#: only stocks at this popularity rank or lower (0 = most popular) turn hot.
+BOOST_MIN_RANK = 50
+#: every ``DRIFT_EVERY_S`` seconds a ``DRIFT_FRAC`` share of the stocks
+#: swap popularity ranks.
+DRIFT_EVERY_S = 20.0
+DRIFT_FRAC = 0.1
+
 
 def sse_trace(
     *,
     n_epochs: int,
     rate: float,
     n_stocks: int = 2000,
-    skew: float = 0.3,
-    hot_prob: float = 0.03,
-    hot_exit_prob: float = 0.25,
-    hot_boost: float = 6.0,
-    boost_min_rank: int = 50,
-    drift_every_s: float = 20.0,
-    drift_frac: float = 0.1,
     epoch_s: float = 1.0,
     cpu_cost_ms: float = 0.5,
     seed: int = 17,
@@ -51,12 +58,12 @@ def sse_trace(
     """Per-epoch per-stock order counts with bursty, drifting popularity.
 
     ``rate`` is the *mean* aggregate orders/s; the instantaneous rate is
-    modulated by a ±30 % sinusoid.  ``cpu_cost_ms`` is the transactor's
+    modulated by a ±20 % sinusoid.  ``cpu_cost_ms`` is the transactor's
     per-order matching cost in the engine's cost model.
 
     Calibration notes: the base skew is mild (no single stock above
     ~0.4 % of the stream) and bursts only hit stocks ranked below
-    ``boost_min_rank``, so even a boosted stock stays below one core's
+    ``BOOST_MIN_RANK``, so even a boosted stock stays below one core's
     matching capacity — a single key cannot be parallelised under
     ordered stateful processing (§2.1), and the real SSE trace respects
     the same bound (Fig. 15 tops out around a few hundred orders/s per
@@ -65,22 +72,22 @@ def sse_trace(
     hence scheduler activity.
     """
     rng = np.random.default_rng(seed)
-    base = zipf_weights(n_stocks, skew)
+    base = zipf_weights(n_stocks, SKEW)
     perm = rng.permutation(n_stocks)
     hot = np.zeros(n_stocks, dtype=bool)
     counts = np.zeros((n_epochs, n_stocks), dtype=np.int64)
-    drift_period = max(1, int(round(drift_every_s / epoch_s)))
+    drift_period = max(1, int(round(DRIFT_EVERY_S / epoch_s)))
     for t in range(n_epochs):
         if t > 0 and t % drift_period == 0:
-            k = max(2, int(drift_frac * n_stocks))
+            k = max(2, int(DRIFT_FRAC * n_stocks))
             idx = rng.choice(n_stocks, size=k, replace=False)
             perm[idx] = perm[rng.permutation(idx)]
         # hot-regime Markov chain per stock (only mid/low-rank eligible)
-        eligible = perm >= boost_min_rank
+        eligible = perm >= BOOST_MIN_RANK
         hot = np.where(
-            hot, rng.random(n_stocks) >= hot_exit_prob, rng.random(n_stocks) < hot_prob
+            hot, rng.random(n_stocks) >= HOT_EXIT_PROB, rng.random(n_stocks) < HOT_PROB
         ) & eligible
-        w = base[perm] * np.where(hot, hot_boost, 1.0)
+        w = base[perm] * np.where(hot, HOT_BOOST, 1.0)
         w = w / w.sum()
         inst_rate = rate * (1.0 + 0.2 * np.sin(2 * np.pi * t / max(n_epochs, 60)))
         counts[t] = rng.multinomial(int(round(inst_rate * epoch_s)), w)
@@ -93,7 +100,6 @@ def sse_orders_pdf(
     rate: float,
     n_stocks: int = 100,
     seed: int = 17,
-    **trace_kwargs,
 ) -> pd.DataFrame:
     """Order-level pandas frame sampled from :func:`sse_trace`.
 
@@ -102,7 +108,7 @@ def sse_orders_pdf(
     bids and asks actually cross and the matching engine trades.
     Deterministic in ``seed``.
     """
-    trace = sse_trace(n_epochs=n_epochs, rate=rate, n_stocks=n_stocks, seed=seed, **trace_kwargs)
+    trace = sse_trace(n_epochs=n_epochs, rate=rate, n_stocks=n_stocks, seed=seed)
     rng = np.random.default_rng(seed + 1)
     base_price = 10.0 + 90.0 * rng.random(n_stocks)
     frames = []

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: per-shard state size (§5.1 default 32 KB).
+DEFAULT_SHARD_STATE_BYTES = 32 * 1024
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -29,8 +32,8 @@ class OperatorSpec:
     selectivity: float = 1.0
     #: bytes per *output* tuple (defaults to input size).
     out_tuple_bytes: int | None = None
-    #: per-shard state size (§5.1 default 32 KB).
-    shard_state_bytes: int = 32 * 1024
+    #: per-shard state size.
+    shard_state_bytes: int = DEFAULT_SHARD_STATE_BYTES
 
     @property
     def total_shards(self) -> int:
@@ -62,25 +65,9 @@ class Topology:
         for u, d in self.edges:
             if u not in byname or d not in byname:
                 raise ValueError(f"edge ({u},{d}) references unknown operator")
-        if self._has_cycle():
+        # operators on a cycle never reach in-degree 0
+        if len(self.topo_order()) < len(self.operators):
             raise ValueError("topology must be a DAG")
-
-    def _has_cycle(self) -> bool:
-        adj = {op.name: [] for op in self.operators}
-        for u, d in self.edges:
-            adj[u].append(d)
-        state: dict[str, int] = {}
-
-        def visit(n: str) -> bool:
-            state[n] = 1
-            for m in adj[n]:
-                s = state.get(m, 0)
-                if s == 1 or (s == 0 and visit(m)):
-                    return True
-            state[n] = 2
-            return False
-
-        return any(state.get(op.name, 0) == 0 and visit(op.name) for op in self.operators)
 
     def operator(self, name: str) -> OperatorSpec:
         for op in self.operators:
@@ -93,6 +80,14 @@ class Topology:
 
     def downstreams(self, name: str) -> list[str]:
         return [d for u, d in self.edges if u == name]
+
+    def link_bytes_per_tuple(self, name: str) -> float:
+        """Bytes one input tuple of ``name`` puts on a remote task's
+        link: the input, plus its outputs, which the emitter replicates
+        to every downstream operator."""
+        op = self.operator(name)
+        fanout = max(1, len(self.downstreams(name)))
+        return op.tuple_bytes + op.selectivity * op.output_bytes * fanout
 
     def sources(self) -> list[str]:
         has_in = {d for _, d in self.edges}
@@ -112,9 +107,3 @@ class Topology:
                 if indeg[m] == 0:
                     frontier.append(m)
         return order
-
-
-def linear_topology(*ops: OperatorSpec) -> Topology:
-    """Chain the given operators in sequence (micro-benchmark shape)."""
-    edges = [(ops[i].name, ops[i + 1].name) for i in range(len(ops) - 1)]
-    return Topology(list(ops), edges)

@@ -5,7 +5,11 @@ import pytest
 
 from repro.core import shards as shard_hash
 from repro.core.elastic_executor import ElasticExecutor
+from repro.engine.metrics import EpochMetrics
+from repro.engine.simulator import EngineConfig
+from repro.paradigms.elasticutor import ElasticutorSim
 from repro.substrate.cluster import ClusterSpec
+from repro.substrate.topology import OperatorSpec, Topology
 
 
 def counter_fn(key, value, state):
@@ -304,3 +308,51 @@ class TestConsistentReassignment:
         for t in ex.emitted:
             got[t.key] = max(got.get(t.key, 0), t.value[0])
         assert got == expected_per_key
+
+
+class TestCostMatchesEngine:
+    """The executor and the engine charge a shard move from one cost
+    model, :meth:`ClusterSpec.ec_shard_reassign_ms`.  Fractional costs
+    and an odd state size make any second formula show."""
+
+    SPEC = ClusterSpec(n_nodes=2, cores_per_node=2, ec_sync_ms=2.1, migration_proto_ms=0.7)
+    NBYTES = 12_345
+
+    def executor_move(self, dst_node):
+        ex = ElasticExecutor(
+            0, n_shards=1, local_node=0, fn=counter_fn, spec=self.SPEC,
+            shard_state_bytes=self.NBYTES,
+        )
+        ex.receive(1, "a")
+        ex.run_until_idle()
+        ex.reassign_shard(0, ex.add_core(dst_node))
+        ex.run_until_idle()
+        return ex
+
+    def engine_move(self, inter):
+        topo = Topology(
+            [OperatorSpec("op", cpu_cost_ms=1.0, tuple_bytes=128, n_executors=1,
+                          shards_per_executor=4, shard_state_bytes=self.NBYTES)],
+            [],
+        )
+        sim = ElasticutorSim(topo, EngineConfig(spec=self.SPEC))
+        sim.setup(10)
+        rt, m = sim.ops["op"], EpochMetrics(epoch=0)
+        sim._charge_moves(rt, m, np.array([0]), np.array([inter]))
+        return rt, m
+
+    def test_inter_node_move(self):
+        ex = self.executor_move(1)
+        assert (ex.sync_ms, ex.migration_ms) == self.SPEC.ec_shard_reassign_ms(self.NBYTES, True)
+        assert ex.migrated_bytes == self.NBYTES
+        rt, m = self.engine_move(True)
+        assert (m.sync_ms, m.migrated_bytes) == (ex.sync_ms, ex.migrated_bytes)
+        assert rt.pause_ms[0] == ex.sync_ms + ex.migration_ms
+
+    def test_intra_node_move(self):
+        ex = self.executor_move(0)
+        assert (ex.sync_ms, ex.migration_ms) == (self.SPEC.ec_sync_ms, 0.0)
+        assert ex.migrated_bytes == 0
+        rt, m = self.engine_move(False)
+        assert (m.sync_ms, m.migrated_bytes) == (ex.sync_ms, ex.migrated_bytes)
+        assert rt.pause_ms[0] == ex.sync_ms + ex.migration_ms

@@ -173,8 +173,9 @@ class TestElasticutor:
             nodes, execs = rt.tasks_node.copy(), rt.tasks_exec.copy()
             loads = sim.shard_loads_ms(rt, counts)
             want, n_moves = rt.shard_assign.copy(), 0
+            z = rt.op.shards_per_executor
             for j in range(rt.op.n_executors):
-                tj, sj = rt.exec_tasks(j), rt.exec_shards(j)
+                tj, sj = np.flatnonzero(rt.tasks_exec == j), np.arange(j * z, (j + 1) * z)
                 loc = np.searchsorted(tj, rt.shard_assign[sj])
                 new, moves = rebalance(loads[sj], loc, len(tj), sim.cfg.theta)
                 want[sj] = tj[new]

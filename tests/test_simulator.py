@@ -167,6 +167,14 @@ class TestCoreSplit:
         with pytest.raises(RuntimeError):
             sim._take_cores(1)
 
+    def test_take_cores_round_robin_across_calls(self):
+        sim = StaticSim(calc_topology(), EngineConfig(spec=tiny_spec(3, 2)))
+        assert sim._take_cores(2).tolist() == [0, 1]
+        assert sim._take_cores(3).tolist() == [2, 0, 1]
+        assert sim._take_cores(1).tolist() == [2]
+        with pytest.raises(RuntimeError):
+            sim._take_cores(1)
+
 
 class TestMultiOperator:
     def test_downstream_receives_selectivity_scaled_output(self):

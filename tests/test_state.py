@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core.state import ShardState, StateStore
+from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 
 
 class TestStateStore:
@@ -10,12 +11,6 @@ class TestStateStore:
         st.put(3, "k1", 42)
         assert st.get(3, "k1") == 42
         assert st.get(3, "missing", "dflt") == "dflt"
-
-    def test_update_atomic_increment(self):
-        st = StateStore("p0")
-        for _ in range(5):
-            st.update(0, "ctr", lambda v: v + 1, default=0)
-        assert st.get(0, "ctr") == 5
 
     def test_shards_isolated(self):
         st = StateStore("p0")
@@ -53,8 +48,8 @@ class TestStateStore:
             dst.import_shard(src.export_shard(4))
 
     def test_shard_bytes_nominal(self):
-        st = StateStore("p0", default_shard_bytes=32 * 1024)
-        assert st.shard_bytes(0) == 32 * 1024
+        st = StateStore("p0")
+        assert st.ensure_shard(0).nominal_bytes == DEFAULT_SHARD_STATE_BYTES == 32 * 1024
 
     def test_total_bytes(self):
         st = StateStore("p0", default_shard_bytes=100)

@@ -8,7 +8,7 @@ from repro.sse_app.topology import (
     sse_cost_per_order_ms,
     sse_topology,
 )
-from repro.substrate.topology import OperatorSpec, Topology, linear_topology
+from repro.substrate.topology import OperatorSpec, Topology
 
 
 def op(name, y=2, z=4, **kw):
@@ -37,6 +37,23 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology([op("a"), op("b")], [("a", "b"), ("b", "a")])
 
+    def test_cycle_behind_source_rejected(self):
+        with pytest.raises(ValueError):
+            Topology(
+                [op("s"), op("a"), op("b"), op("c")],
+                [("s", "a"), ("a", "b"), ("b", "c"), ("c", "a")],
+            )
+
+    def test_link_bytes_per_tuple(self):
+        # input plus selectivity x output bytes, replicated to each
+        # downstream operator (at least one: the sink's emitter)
+        t = Topology(
+            [op("a", selectivity=0.5, out_tuple_bytes=100), op("b"), op("c")],
+            [("a", "b"), ("a", "c")],
+        )
+        assert t.link_bytes_per_tuple("a") == 128 + 0.5 * 100 * 2
+        assert t.link_bytes_per_tuple("b") == 128 + 1.0 * 128 * 1
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Topology([op("a")], [("a", "a")])
@@ -51,11 +68,6 @@ class TestTopology:
         t = Topology([op("c"), op("a"), op("b")], [("a", "b"), ("b", "c")])
         order = t.topo_order()
         assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_linear_topology(self):
-        t = linear_topology(op("x"), op("y"), op("z"))
-        assert t.edges == [("x", "y"), ("y", "z")]
-        assert t.sources() == ["x"]
 
     def test_operator_lookup(self):
         t = Topology([op("a")], [])
