@@ -13,14 +13,14 @@ the market-clearing mechanism of a stock exchange:
 
 The book is the per-stock state held by the stream operator: in the
 tuple-level elastic executor it lives in the shared
-:class:`~repro.core.state.StateStore`, and on the Spark data plane it
-is rebuilt per stock group inside ``applyInPandas``
-(:mod:`repro.sse_app.transactor`).
+:class:`~repro.core.state.StateStore`, and on the Spark data plane each
+stock partition's ``mapInPandas`` matcher keeps one book per stock
+across the partition's Arrow batches (:mod:`repro.sse_app.transactor`).
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class Transaction:
     seq: int  # arrival sequence of the incoming (aggressor) order
 
 
-@dataclass
 class OrderBook:
     """Price-time-priority book for one stock.
 
@@ -44,9 +43,12 @@ class OrderBook:
     Volume is mutated in place on partial fills.
     """
 
-    stock: int
-    bids: list = field(default_factory=list)
-    asks: list = field(default_factory=list)
+    __slots__ = ("stock", "bids", "asks")
+
+    def __init__(self, stock: int) -> None:
+        self.stock = stock
+        self.bids: list = []
+        self.asks: list = []
 
     def submit(
         self, side: str, price: float, volume: int, trader: int, seq: int
@@ -56,29 +58,37 @@ class OrderBook:
             raise ValueError(f"side must be 'B' or 'S', got {side!r}")
         if volume <= 0 or price <= 0:
             raise ValueError("price and volume must be positive")
-        fills: list[Transaction] = []
-        if side == "B":
-            book, crosses = self.asks, lambda best: best <= price
-            mine, opp_sign = self.bids, 1.0
-        else:
-            book, crosses = self.bids, lambda best: -best >= price
-            mine, opp_sign = self.asks, -1.0
-        remaining = volume
-        while remaining > 0 and book and crosses(book[0][0]):
+        fills: list[tuple] = []
+        self.match(side == "B", price, volume, trader, seq, fills)
+        return [Transaction(self.stock, p, v, b, s, seq) for p, v, b, s in fills]
+
+    def match(
+        self, buy: bool, price: float, volume: int, trader: int, seq: int, fills: list
+    ) -> None:
+        """Cross one already-validated order against the opposite side,
+        appending a ``(price, volume, buyer, seller)`` tuple per fill to
+        ``fills``; an unfilled remainder rests in the book.
+
+        This is the one matching loop: :meth:`submit` and the columnar
+        transactor (:mod:`repro.sse_app.transactor`) both call it.
+        """
+        # asks are keyed by price, bids by -price: the order crosses the
+        # opposite side's best entry while that key is <= ``limit``
+        book, mine, limit = (self.asks, self.bids, price) if buy else (self.bids, self.asks, -price)
+        while book and book[0][0] <= limit:
             entry = book[0]
-            take = min(remaining, entry[3])
-            rest_price = entry[2]
-            buyer, seller = (trader, entry[4]) if side == "B" else (entry[4], trader)
-            fills.append(
-                Transaction(self.stock, rest_price, take, buyer, seller, seq)
-            )
-            remaining -= take
-            entry[3] -= take
-            if entry[3] == 0:
-                heapq.heappop(book)
-        if remaining > 0:
-            heapq.heappush(mine, [-opp_sign * price, seq, price, remaining, trader])
-        return fills
+            rest = entry[3]
+            buyer, seller = (trader, entry[4]) if buy else (entry[4], trader)
+            if rest > volume:
+                entry[3] = rest - volume
+                fills.append((entry[2], volume, buyer, seller))
+                return
+            fills.append((entry[2], rest, buyer, seller))
+            heappop(book)
+            volume -= rest
+            if not volume:
+                return
+        heappush(mine, [-limit, seq, price, volume, trader])
 
     def best_bid(self) -> float | None:
         return self.bids[0][2] if self.bids else None

@@ -1,12 +1,14 @@
-"""SSE data-plane tests on Spark: the transactor (applyInPandas order
-matching) and every statistics/event operator, each diffed against a
-DuckDB twin through ``repro.oracle.assert_equivalent``."""
+"""SSE data-plane tests on Spark: the transactor (order matching in one
+``mapInPandas`` matcher per stock partition) and every statistics/event
+operator, each diffed against a DuckDB twin through
+``repro.oracle.assert_equivalent``."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.sse_app import analytics, events
+from repro.sse_app.order_book import OrderBook
 from repro.sse_app.transactor import match_orders_pdf, transactions
 from repro.streams.sse import sse_orders_pdf
 
@@ -47,16 +49,42 @@ class TestTransactor:
         ratio = tx.count() / orders.count()
         assert 0.2 < ratio < 0.9
 
-    def test_buyers_and_sellers_differ_from_stock(self, tx):
+    def test_fill_prices_and_volumes_positive(self, tx):
         bad = tx.filter((F.col("volume") <= 0) | (F.col("price") <= 0)).count()
         assert bad == 0
 
-    def test_volume_conservation_per_stock(self, spark, orders, tx):
-        """2·filled + resting == submitted, per stock (DuckDB check)."""
-        sub = orders.groupBy("stock").agg(F.sum("volume").alias("submitted"))
-        fil = tx.groupBy("stock").agg(F.sum("volume").alias("filled"))
-        joined = sub.join(fil, "stock", "left").na.fill(0).toPandas()
-        assert (joined["filled"] * 2 <= joined["submitted"]).all()
+    def test_volume_conservation_per_stock(self, orders_pdf, tx):
+        """2·filled + resting == submitted, per stock: every submitted
+        share is on one side of a Spark fill or still rests in the book
+        of a single-process replay."""
+        resting = {}
+        for row in orders_pdf.sort_values("seq").itertuples(index=False):
+            book = resting.setdefault(row.stock, OrderBook(row.stock))
+            book.submit(row.side, row.price, row.volume, row.trader, row.seq)
+        resting = pd.Series({k: sum(b.depth()) for k, b in resting.items()})
+        submitted = orders_pdf.groupby("stock")["volume"].sum()
+        filled = (
+            tx.groupBy("stock").agg(F.sum("volume").alias("filled"))
+            .toPandas().set_index("stock")["filled"]
+            .reindex(submitted.index, fill_value=0)
+        )
+        assert (filled > 0).all()
+        pd.testing.assert_series_equal(
+            2 * filled + resting.reindex(submitted.index), submitted,
+            check_names=False, check_dtype=False,
+        )
+
+    def test_fewer_stocks_than_partitions(self, spark, orders_pdf):
+        """With 3 stocks over many shuffle partitions most matchers see no
+        orders at all; the fills still equal the single-process ones."""
+        few = orders_pdf[orders_pdf["stock"] < 3]
+        assert int(spark.conf.get("spark.sql.shuffle.partitions")) > 3
+        got = transactions(spark.createDataFrame(few)).toPandas()
+        key = ["stock", "seq", "price", "volume", "buyer", "seller"]
+        got = got.sort_values(key).reset_index(drop=True)
+        exp = match_orders_pdf(few).sort_values(key).reset_index(drop=True)
+        assert len(exp) > 0
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 class TestAnalyticsOracle:
