@@ -1,5 +1,5 @@
-"""Benchmark of the SSE data plane on Spark: order matching through
-``applyInPandas`` plus the analytics aggregations, at benchmark scale
+"""Benchmark of the SSE data plane on Spark: order matching (one
+``mapInPandas`` matcher per stock partition) plus the analytics aggregations, at benchmark scale
 (~SF 0.1-equivalent order volume).
 
 Run: ``pytest benchmarks/bench_sse_pipeline.py --benchmark-only``

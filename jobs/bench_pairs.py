@@ -5,18 +5,19 @@ from the changed one, on the same seed, swapping which goes first from
 one pair to the next so that a drift in host speed hits both sides
 alike.  End-to-end metrics come from ``--trace 0`` runs; the per-layer
 ``sse_app.*`` metrics of ``spark-sse`` come from extra ``--trace 1``
-pairs.  The result file holds, per workload, the pair count and each
-side's median of every metric, plus the change/base ratio of the
-medians and the failed-check counts.
+pairs.  The result file holds, per workload, the pair count, the
+failed-check counts and, for every metric, each side's median, the
+change/base ratio of the medians, the number of pairs the change wins,
+the interquartile range of the base's runs and every run's value.
 
 Usage (from anywhere)::
 
-    python3 jobs/bench_pairs.py BASE_DIR CHANGE_DIR --out BENCH_6.json \\
-        [--pairs spark-sse=5,engine-sse=3,...] [--traced-pairs 3] \\
-        [--seconds 15] [--seed 11]
+    python3 jobs/bench_pairs.py BASE_DIR CHANGE_DIR --out BENCH_<n>.json \\
+        [--pairs spark-sse=10,engine-sse=3,...] [--traced-pairs 3] [--seed 11]
 
 Both directories must be full checkouts; each run writes only under its
-own ``perfbench/out/``.
+own ``perfbench/out/`` and lasts the ``run_seconds`` of the change's
+``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("spark-sse", "engine-sse", "micro-baselines", "executor-stream")
-DEFAULT_PAIRS = "spark-sse=5,engine-sse=3,micro-baselines=3,executor-stream=3"
+DEFAULT_PAIRS = "spark-sse=10,engine-sse=3,micro-baselines=3,executor-stream=3"
 TRACED_PREFIX = "sse_app."
 
 
@@ -67,18 +68,37 @@ def _pairs(base: Path, change: Path, workload: str, n: int, seed: int,
     return runs
 
 
-def _medians(runs: list[dict], keep=lambda name: True) -> dict[str, float]:
-    names = [n for n in runs[0]["metrics"] if keep(n)]
-    return {n: statistics.median(r["metrics"][n]["value"] for r in runs) for n in names}
+def _quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return (xs[0],) * 3
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
 
 
-def _summary(runs: dict[str, list[dict]], keep=lambda name: True) -> dict:
-    base, change = _medians(runs["base"], keep), _medians(runs["change"], keep)
+def _summary(runs: dict[str, list[dict]], better: dict[str, str], keep=lambda name: True) -> dict:
+    """Per metric: each side's median, the change/base ratio of the
+    medians, the pairs the change wins (ties count for neither side),
+    the base's interquartile range, and every run's value."""
+    names = [n for n in runs["base"][0]["metrics"] if keep(n)]
+    metrics = {}
+    for n in names:
+        b = [r["metrics"][n]["value"] for r in runs["base"]]
+        c = [r["metrics"][n]["value"] for r in runs["change"]]
+        sign = 1.0 if better.get(n, "lower") == "higher" else -1.0
+        q1, mb, q3 = _quartiles(b)
+        mc = statistics.median(c)
+        metrics[n] = {
+            "base": mb,
+            "change": mc,
+            "ratio": mc / mb if mb else None,
+            "change_wins": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
+            "base_iqr": q3 - q1,
+            "base_runs": b,
+            "change_runs": c,
+        }
     return {
         "pairs": len(runs["base"]),
-        "base": base,
-        "change": change,
-        "ratio": {n: change[n] / base[n] if base[n] else None for n in base},
+        "metrics": metrics,
         "failed": {s: [r["failed"] for r in rs] for s, rs in runs.items()},
         "attempted": {s: [r["attempted"] for r in rs] for s, rs in runs.items()},
     }
@@ -100,7 +120,6 @@ def main(argv=None) -> int:
                    help="comma-separated workload=count; a workload left out is not run")
     p.add_argument("--traced-pairs", type=int, default=3,
                    help="--trace 1 pairs on spark-sse for the sse_app.* metrics")
-    p.add_argument("--seconds", type=float, default=15.0)
     p.add_argument("--seed", type=int, default=11)
     args = p.parse_args(argv)
     base, change = args.base.resolve(), args.change.resolve()
@@ -109,10 +128,13 @@ def main(argv=None) -> int:
     if unknown:
         raise SystemExit(f"unknown workloads: {sorted(unknown)}")
 
+    spec = json.loads((change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     result = {
         "base": _git_head(base),
         "change": _git_head(change),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "first_seed": args.seed,
         "cpus": os.cpu_count(),
         "workloads": {},
@@ -120,12 +142,12 @@ def main(argv=None) -> int:
     for w in WORKLOADS:
         if counts.get(w, 0) <= 0:
             continue
-        runs = _pairs(base, change, w, counts[w], args.seed, args.seconds, 0)
-        result["workloads"][w] = {"end_to_end": _summary(runs)}
+        runs = _pairs(base, change, w, counts[w], args.seed, seconds, 0)
+        result["workloads"][w] = {"end_to_end": _summary(runs, better)}
         if w == "spark-sse" and args.traced_pairs > 0:
-            traced = _pairs(base, change, w, args.traced_pairs, args.seed, args.seconds, 1)
+            traced = _pairs(base, change, w, args.traced_pairs, args.seed, seconds, 1)
             result["workloads"][w]["traced"] = _summary(
-                traced, keep=lambda n: n.startswith(TRACED_PREFIX)
+                traced, better, keep=lambda n: n.startswith(TRACED_PREFIX)
             )
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

@@ -131,20 +131,6 @@ class TestAgainstOldMatcher:
             assert got == exp
             assert new[k].bids == old[k].bids and new[k].asks == old[k].asks
 
-    def test_streams_exercise_ties_partials_and_sweeps(self):
-        """The strategy's grid does produce what the comparison is about."""
-        rng = np.random.default_rng(0)
-        rows = [
-            (int(rng.integers(0, 2)), str(rng.choice(["B", "S"])),
-             float(rng.choice([9.99, 10.0, 10.01])), int(rng.choice([100, 200, 3000])), 1)
-            for _ in range(300)
-        ]
-        fills = match_orders_pdf(_orders_frame(rows, rng.permutation(len(rows))))
-        per_order = fills.groupby("seq").size()
-        assert (per_order >= 3).any()  # a sweep over several resting orders
-        assert fills.duplicated(["stock", "price"]).any()  # ties at one level
-        assert (fills["volume"] % 100 == 0).all() and fills["volume"].nunique() > 3
-
 
 class TestEdgeCases:
     @pytest.mark.parametrize(
