@@ -3,17 +3,17 @@
 Each pair runs ``perfbench/run.py`` once from the base checkout and once
 from the changed one, on the same seed, swapping which goes first from
 one pair to the next so that a drift in host speed hits both sides
-alike.  End-to-end metrics come from ``--trace 0`` runs; the per-layer
-``sse_app.*`` metrics of ``spark-sse`` come from extra ``--trace 1``
-pairs.  The result file holds, per workload, the pair count, the
-failed-check counts and, for every metric, each side's median, the
-change/base ratio of the medians, the number of pairs the change wins,
-the interquartile range of the base's runs and every run's value.
+alike.  Every workload gets ``PAIRS`` ``--trace 0`` pairs for the
+end-to-end metrics and ``TRACED_PAIRS`` ``--trace 1`` pairs for the
+per-layer metrics of ``BENCHMARK.json`` that the workload reports.  The
+result file holds, per workload, the pair count, the failed-check counts
+and, for every metric, each side's median, the change/base ratio of the
+medians, the number of pairs the change wins, the interquartile range of
+the base's runs and every run's value.
 
 Usage (from anywhere)::
 
-    python3 jobs/bench_pairs.py BASE_DIR CHANGE_DIR --out BENCH_<n>.json \\
-        [--pairs spark-sse=10,engine-sse=3,...] [--traced-pairs 3] [--seed 11]
+    python3 jobs/bench_pairs.py BASE_DIR CHANGE_DIR --out BENCH_<n>.json
 
 Both directories must be full checkouts; each run writes only under its
 own ``perfbench/out/`` and lasts the ``run_seconds`` of the change's
@@ -31,8 +31,9 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("spark-sse", "engine-sse", "micro-baselines", "executor-stream")
-DEFAULT_PAIRS = "spark-sse=10,engine-sse=3,micro-baselines=3,executor-stream=3"
-TRACED_PREFIX = "sse_app."
+PAIRS = 10
+TRACED_PAIRS = 3
+FIRST_SEED = 11
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -48,7 +49,7 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _pairs(base: Path, change: Path, workload: str, n: int, seed: int,
+def _pairs(base: Path, change: Path, workload: str, n: int,
            seconds: float, trace: int) -> dict[str, list[dict]]:
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     for i in range(n):
@@ -57,7 +58,7 @@ def _pairs(base: Path, change: Path, workload: str, n: int, seed: int,
             order.reverse()
         for side, checkout in order:
             t = time.perf_counter()
-            res = _run(checkout, workload, seed + i, seconds, trace)
+            res = _run(checkout, workload, FIRST_SEED + i, seconds, trace)
             runs[side].append(res)
             print(
                 f"{workload} trace={trace} pair {i + 1}/{n} {side}: "
@@ -75,16 +76,18 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def _summary(runs: dict[str, list[dict]], better: dict[str, str], keep=lambda name: True) -> dict:
-    """Per metric: each side's median, the change/base ratio of the
-    medians, the pairs the change wins (ties count for neither side),
-    the base's interquartile range, and every run's value."""
-    names = [n for n in runs["base"][0]["metrics"] if keep(n)]
+def _summary(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    """Per metric of ``better`` that every run reports: each side's
+    median, the change/base ratio of the medians, the pairs the change
+    wins (ties count for neither side), the base's interquartile range,
+    and every run's value."""
+    every = runs["base"] + runs["change"]
+    names = [n for n in better if all(n in r["metrics"] for r in every)]
     metrics = {}
     for n in names:
         b = [r["metrics"][n]["value"] for r in runs["base"]]
         c = [r["metrics"][n]["value"] for r in runs["change"]]
-        sign = 1.0 if better.get(n, "lower") == "higher" else -1.0
+        sign = 1.0 if better[n] == "higher" else -1.0
         q1, mb, q3 = _quartiles(b)
         mc = statistics.median(c)
         metrics[n] = {
@@ -116,39 +119,28 @@ def main(argv=None) -> int:
     p.add_argument("base", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--pairs", default=DEFAULT_PAIRS,
-                   help="comma-separated workload=count; a workload left out is not run")
-    p.add_argument("--traced-pairs", type=int, default=3,
-                   help="--trace 1 pairs on spark-sse for the sse_app.* metrics")
-    p.add_argument("--seed", type=int, default=11)
     args = p.parse_args(argv)
     base, change = args.base.resolve(), args.change.resolve()
-    counts = {w: int(n) for w, n in (kv.split("=") for kv in args.pairs.split(","))}
-    unknown = set(counts) - set(WORKLOADS)
-    if unknown:
-        raise SystemExit(f"unknown workloads: {sorted(unknown)}")
 
     spec = json.loads((change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    per_layer = {m["name"]: m["better"] for m in spec["per_layer"]}
     result = {
         "base": _git_head(base),
         "change": _git_head(change),
         "seconds": seconds,
-        "first_seed": args.seed,
+        "first_seed": FIRST_SEED,
         "cpus": os.cpu_count(),
         "workloads": {},
     }
     for w in WORKLOADS:
-        if counts.get(w, 0) <= 0:
-            continue
-        runs = _pairs(base, change, w, counts[w], args.seed, seconds, 0)
-        result["workloads"][w] = {"end_to_end": _summary(runs, better)}
-        if w == "spark-sse" and args.traced_pairs > 0:
-            traced = _pairs(base, change, w, args.traced_pairs, args.seed, seconds, 1)
-            result["workloads"][w]["traced"] = _summary(
-                traced, better, keep=lambda n: n.startswith(TRACED_PREFIX)
-            )
+        runs = _pairs(base, change, w, PAIRS, seconds, 0)
+        traced = _pairs(base, change, w, TRACED_PAIRS, seconds, 1)
+        result["workloads"][w] = {
+            "end_to_end": _summary(runs, end_to_end),
+            "traced": _summary(traced, per_layer),
+        }
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     return 0

@@ -76,10 +76,20 @@ class TestTransactor:
 
     def test_fewer_stocks_than_partitions(self, spark, orders_pdf):
         """With 3 stocks over many shuffle partitions most matchers see no
-        orders at all; the fills still equal the single-process ones."""
+        orders at all; the fills still equal the single-process ones.
+        Arrow batches of 50 rows split each stock's orders over many
+        batches, so this also checks that a matcher keeps its books from
+        one batch of its partition to the next."""
         few = orders_pdf[orders_pdf["stock"] < 3]
         assert int(spark.conf.get("spark.sql.shuffle.partitions")) > 3
-        got = transactions(spark.createDataFrame(few)).toPandas()
+        assert few.groupby("stock").size().min() > 4 * 50
+        batch_rows = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        old = spark.conf.get(batch_rows)
+        spark.conf.set(batch_rows, "50")
+        try:
+            got = transactions(spark.createDataFrame(few)).toPandas()
+        finally:
+            spark.conf.set(batch_rows, old)
         key = ["stock", "seq", "price", "volume", "buyer", "seller"]
         got = got.sort_values(key).reset_index(drop=True)
         exp = match_orders_pdf(few).sort_values(key).reset_index(drop=True)
