@@ -1,28 +1,43 @@
 """Epoch-driven cluster engine.
 
 Simulates a topology on a modeled cluster (:class:`ClusterSpec`) in
-discrete epochs (default 1 s).  Per epoch and operator it:
+discrete epochs (default 1 s).  All operators share one shard space:
+each operator's shards, and separately its tasks, occupy one contiguous
+range of engine-wide arrays, in topological order.  Within an epoch the
+operators do not feed each other (outputs reach the downstream
+operators one epoch later), so every step below is one set of array
+operations over all operators at once.  Per epoch the engine:
 
-1. routes arrivals to shards with the same XXH64 hashes the Spark
-   views use (``repro.core.shards``),
+1. routes the inbox — one row of per-key input counts per operator —
+   to shards with one ``bincount``, using the same XXH64 hashes the
+   Spark views use (``repro.core.shards``); the paradigm, the spout
+   throttle and the data plane all read these shard arrivals;
 2. lets the paradigm policy perform its elasticity actions (shard
    moves, core reassignments, operator-level repartitions) with the
-   cost model applied (sync pauses, state-migration bytes/time, NIC
-   throttling of remote tasks),
-3. admits tuples into bounded per-task pending queues (backpressure:
-   overflow is deferred to a source-side residual buffer and shed when
-   that overflows too),
-4. processes up to each task's capacity and propagates outputs to
-   downstream operators one epoch later,
-5. records the :class:`~repro.engine.metrics.EpochMetrics` counters.
+   cost model applied (sync pauses, state-migration bytes/time);
+3. throttles the spout to the hottest task of the whole topology;
+4. applies the operator-level repartitions that complete inside the
+   epoch (:meth:`BaseSim._repartition`, RC only), which also yields the
+   fraction of the epoch each operator is stalled;
+5. advances every operator: NIC throttling of remote tasks, admission
+   into bounded per-task pending queues (backpressure: overflow is
+   deferred to a source-side residual buffer and shed when that
+   overflows too), processing up to each task's capacity, latency, and
+   outputs into the downstream operators' rows of the next inbox;
+6. records the :class:`~repro.engine.metrics.EpochMetrics` counters.
+
+Each operator's float totals (processed, latency, shed, offered) are
+still summed over that operator's own slice, and remote NIC demand over
+each (operator, home node) group in task order, so the fused pass adds
+in the same order as one operator at a time would.
 
 Latency is an Eq. 1-style weighted average over operators of queue-wait
 + service + protocol-pause time.  It is a queueing *model* of latency —
 absolute milliseconds are not the claim; orderings and orders of
 magnitude are (see DESIGN.md §5).
 
-Paradigm behaviour is injected through two hooks (`_init_layout`,
-`_elasticity`) overridden in :mod:`repro.paradigms`.
+Paradigm behaviour is injected through three hooks (`_init_layout`,
+`_elasticity`, `_repartition`) overridden in :mod:`repro.paradigms`.
 """
 from __future__ import annotations
 
@@ -61,13 +76,19 @@ class EngineConfig:
 
 @dataclass
 class OpRuntime:
-    """Mutable per-operator simulation state.
+    """One operator's view of the engine state.
 
     ``tasks_node[t]`` is the node hosting task ``t``; ``tasks_exec[t]``
     the elastic executor owning it (for static/RC, task == executor).
     ``shard_assign[s]`` maps operator-global shard → task.  Queues and
     residuals are in *tuples* (per-operator CPU cost is uniform, so
     work ∝ tuples).
+
+    Once :meth:`BaseSim.setup` has run, ``shard_assign``, ``queue_n``,
+    ``resid_n``, ``resid_wait`` and ``pause_ms`` are views into the
+    engine-wide per-shard arrays (write them in place), and
+    ``tasks_node`` / ``tasks_exec`` are re-bound whenever the task
+    layout changes.
     """
 
     op: OperatorSpec
@@ -80,25 +101,7 @@ class OpRuntime:
     resid_n: np.ndarray = field(default=None)  # type: ignore[assignment]
     resid_wait: np.ndarray = field(default=None)  # type: ignore[assignment]
     pause_ms: np.ndarray = field(default=None)  # type: ignore[assignment]
-    #: operator stalled (RC repartition in progress) until this sim-time.
-    stall_until_s: float = 0.0
-    pending_moves: list = field(default_factory=list)
-    pending_migration_bytes: float = 0.0
-    #: key distribution of the most recent non-empty input (used to
-    #: shape outputs drained from backlog when the input goes quiet).
-    last_dist: np.ndarray = field(default=None)  # type: ignore[assignment]
     shed_total: float = 0.0
-
-    def __post_init__(self) -> None:
-        z = self.op.total_shards
-        if self.queue_n is None:
-            self.queue_n = np.zeros(z)
-        if self.resid_n is None:
-            self.resid_n = np.zeros(z)
-        if self.resid_wait is None:
-            self.resid_wait = np.zeros(z)
-        if self.pause_ms is None:
-            self.pause_ms = np.zeros(z)
 
     @property
     def n_tasks(self) -> int:
@@ -171,16 +174,126 @@ class BaseSim:
         return sum(self.ops[u].n_tasks for u in ups)
 
     def setup(self, n_keys: int) -> None:
+        """Lay out every operator, then gather the layouts into the
+        engine-wide shard, task and executor arrays."""
         for name in self._order:
             op = self.topology.operator(name)
             self.ops[name] = self._init_layout(op, n_keys)
+        rts = [self.ops[name] for name in self._order]
+        n_ops = len(rts)
+        idx = np.arange(n_ops)
+        z = [rt.op.total_shards for rt in rts]
+        self._shard_off = np.r_[0, np.cumsum(z)]
+        self._shard_op = np.repeat(idx, z)
+        self._route_idx = (
+            np.stack([rt.key_to_shard for rt in rts]) + self._shard_off[:-1, None]
+        ).ravel()
+        n_shards = int(self._shard_off[-1])
+        self._cost = np.array([rt.op.cpu_cost_ms for rt in rts], dtype=float)
+        self._link_bytes = np.array(
+            [self.topology.link_bytes_per_tuple(name) for name in self._order], dtype=float
+        )
+        self._shard_cost = self._cost[self._shard_op]
+        self._resid_cap = (self.cfg.resid_cap_ms / self._cost)[self._shard_op]
+        self._core_cap = self.spec.core_capacity_per_epoch(self.cfg.epoch_s)
+        self._no_stall = np.zeros(n_ops)
+        self._last_dist = np.full((n_ops, n_keys), 1.0 / n_keys)
+
+        self._queue_n = np.zeros(n_shards)
+        self._resid_n = np.zeros(n_shards)
+        self._resid_wait = np.zeros(n_shards)
+        self._pause_ms = np.zeros(n_shards)
+        self._shard_task = np.concatenate([rt.shard_assign for rt in rts]).astype(np.int64)
+        for i, rt in enumerate(rts):
+            sl = slice(self._shard_off[i], self._shard_off[i + 1])
+            rt.queue_n = self._queue_n[sl]
+            rt.resid_n = self._resid_n[sl]
+            rt.resid_wait = self._resid_wait[sl]
+            rt.pause_ms = self._pause_ms[sl]
+            rt.shard_assign = self._shard_task[sl]
+
+        y = [len(rt.exec_home) for rt in rts]
+        self._exec_off = np.r_[0, np.cumsum(y)]
+        self._exec_op = np.repeat(idx, y)
+        self._exec_home = np.concatenate([rt.exec_home for rt in rts])
+        self._set_tasks(
+            np.concatenate([rt.tasks_node for rt in rts]),
+            np.concatenate([rt.tasks_exec + self._exec_off[i] for i, rt in enumerate(rts)]),
+        )
+
+        pos = {name: i for i, name in enumerate(self._order)}
+        self._sources = [pos[s] for s in self.topology.sources()]
+        self._is_source = np.zeros(n_ops, dtype=bool)
+        self._is_source[self._sources] = True
+        self._sel = np.array([[rt.op.selectivity] for rt in rts])
+        # The next inbox of an operator adds its upstreams' outputs in
+        # topological order; feed r pairs each operator with its r-th.
+        ups: dict[int, list[int]] = {}
+        for u, name in enumerate(self._order):
+            for d in self.topology.downstreams(name):
+                ups.setdefault(pos[d], []).append(u)
+        self._feeds = []
+        for r in range(max((len(v) for v in ups.values()), default=0)):
+            pairs = [(d, v[r]) for d, v in ups.items() if len(v) > r]
+            self._feeds.append((np.array([d for d, _ in pairs]), np.array([u for _, u in pairs])))
+
+    def _set_tasks(self, task_node: np.ndarray, task_exec: np.ndarray) -> None:
+        """Install a task layout: node and engine-wide executor of each
+        task, with every operator's tasks contiguous and in operator
+        order.  The caller keeps ``_shard_task`` (operator-local task of
+        each shard) consistent with it."""
+        n_ops = len(self._order)
+        self._task_node = task_node
+        self._task_exec = task_exec
+        self._task_op = self._exec_op[task_exec]
+        self._task_off = np.r_[0, np.cumsum(np.bincount(self._task_op, minlength=n_ops))]
+        self._shard_task_off = self._task_off[self._shard_op]
+        self._task_cost = self._cost[self._task_op]
+        self._queue_cap = (self.cfg.queue_cap_ms / self._cost)[self._task_op]
+        for i, name in enumerate(self._order):
+            rt = self.ops[name]
+            sl = slice(self._task_off[i], self._task_off[i + 1])
+            rt.tasks_node = task_node[sl]
+            rt.tasks_exec = task_exec[sl] - self._exec_off[i]
+        # remote tasks grouped by (operator, home node), each group in
+        # task order; groups of one size are summed as rows of a matrix
+        remote = np.flatnonzero(task_node != self._exec_home[task_exec])
+        if remote.size == 0:
+            self._nic = None
+            return
+        key = self._task_op[remote] * self.spec.n_nodes + self._exec_home[task_exec[remote]]
+        order = np.argsort(key, kind="stable")
+        members, key = remote[order], key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        sizes = np.diff(np.r_[starts, members.size])
+        by_size = []
+        for n in np.unique(sizes).tolist():
+            gids = np.flatnonzero(sizes == n)
+            by_size.append((gids, members[starts[gids, None] + np.arange(n)]))
+        group_of = np.repeat(np.arange(starts.size), sizes)
+        link = self._link_bytes[self._task_op]
+        self._nic = (members, group_of, starts.size, by_size, link)
+
+    def _global_assign(self) -> np.ndarray:
+        """Engine-wide task index of every shard."""
+        return self._shard_task + self._shard_task_off
 
     def _init_layout(self, op: OperatorSpec, n_keys: int) -> OpRuntime:
         raise NotImplementedError
 
-    def _elasticity(self, epoch: int, now_s: float, arrivals: dict[str, np.ndarray], m: EpochMetrics) -> None:
-        """Per-epoch control plane: mutate runtimes, charge costs to ``m``."""
+    def _elasticity(
+        self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
+    ) -> None:
+        """Per-epoch control plane: mutate the layout, charge costs to
+        ``m``.  ``inbox`` is the (operators × keys) input of the epoch,
+        ``arrivals`` its engine-wide per-shard routing."""
         raise NotImplementedError
+
+    def _repartition(self, now_s: float, m: EpochMetrics) -> np.ndarray:
+        """Apply the operator-level repartitions that complete inside
+        this epoch and return the fraction of the epoch each operator
+        is stalled by one.  Only RC repartitions operators."""
+        return self._no_stall
 
     # ------------------------------------------------------------------
     # run loop
@@ -193,63 +306,59 @@ class BaseSim:
             )
         self.setup(trace.n_keys)
         result = RunResult(self.name, self.cfg.epoch_s, warmup=self.cfg.warmup_epochs)
-        n_keys = trace.n_keys
-        # per-operator input counts for the *current* epoch
-        inbox: dict[str, np.ndarray] = {
-            name: np.zeros(n_keys) for name in self._order
-        }
-        sources = self.topology.sources()
+        inbox = np.zeros((len(self._order), trace.n_keys))
+        sources = self._sources
         for t in range(trace.n_epochs):
             now_s = t * self.cfg.epoch_s
             m = EpochMetrics(epoch=t)
-            for s in sources:
-                inbox[s] = inbox[s] + trace.counts[t].astype(float)
-            arrivals = {name: inbox[name] for name in self._order}
-            self._elasticity(t, now_s, arrivals, m)
-            # Storm-style global backpressure: the spout throttles to
-            # the hottest task in the whole topology (high/low-watermark
-            # backpressure stalls the entire spout, not one path).
-            g = self._throttle_factor(arrivals, now_s)
-            m.throttle_g = g
-            if g < 1.0:
-                for s in sources:
-                    nominal = float(arrivals[s].sum())
-                    m.offered += nominal
-                    m.throttled += (1.0 - g) * nominal
-                    arrivals[s] = arrivals[s] * g
-            # stop-start emission under throttling delays every tuple by
-            # about half a queue-drain cycle on average
-            bp_penalty_ms = (1.0 - g) * 0.5 * self.cfg.queue_cap_ms
-            next_inbox: dict[str, np.ndarray] = {
-                name: np.zeros(n_keys) for name in self._order
-            }
-            lat_num = 0.0
-            for name in self._order:
-                rt = self.ops[name]
-                out_counts, proc, offered, lat = self._process_operator(
-                    rt, arrivals[name], now_s, m
-                )
-                if name in sources:
-                    if g >= 1.0:
-                        m.offered += offered
-                    m.processed += proc
-                    lat += proc * bp_penalty_ms
-                lat_num += lat
-                sel = rt.op.selectivity
-                for d in self.topology.downstreams(name):
-                    next_inbox[d] = next_inbox[d] + out_counts * sel
-            src_proc = max(m.processed, _EPS)
-            m.latency_ms = lat_num / src_proc
-            inbox = next_inbox
+            inbox[sources] = inbox[sources] + trace.counts[t].astype(float)
+            arrivals = self._route(inbox)
+            self._elasticity(t, now_s, inbox, arrivals, m)
+            inbox = self._advance(now_s, inbox, arrivals, m)
             result.epochs.append(m)
         return result
 
-    def _stall_frac(self, rt: OpRuntime, now_s: float) -> float:
-        if rt.stall_until_s <= now_s:
-            return 0.0
-        return min(1.0, (rt.stall_until_s - now_s) / self.cfg.epoch_s)
+    def _route(self, inbox: np.ndarray) -> np.ndarray:
+        """Per-shard arrivals of every operator, in one ``bincount``."""
+        return np.bincount(self._route_idx, weights=inbox.ravel(), minlength=len(self._shard_op))
 
-    def _throttle_factor(self, arrivals: dict[str, np.ndarray], now_s: float) -> float:
+    def _advance(
+        self, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
+    ) -> np.ndarray:
+        """Throttle the spout, apply completed repartitions, advance
+        every operator by one epoch and fold the per-operator totals into
+        ``m``.  Returns the next epoch's inbox."""
+        # Storm-style global backpressure: the spout throttles to the
+        # hottest task in the whole topology (high/low-watermark
+        # backpressure stalls the entire spout, not one path).
+        g = self._throttle_factor(arrivals)
+        m.throttle_g = g
+        sources = self._sources
+        if g < 1.0:
+            for i in sources:
+                nominal = float(inbox[i].sum())
+                m.offered += nominal
+                m.throttled += (1.0 - g) * nominal
+            inbox[sources] = inbox[sources] * g
+            arrivals = self._route(inbox)
+        # stop-start emission under throttling delays every tuple by
+        # about half a queue-drain cycle on average
+        bp_penalty_ms = (1.0 - g) * 0.5 * self.cfg.queue_cap_ms
+        stall = self._repartition(now_s, m)
+        offered = inbox.sum(axis=1)
+        next_inbox, processed, lat = self._data_plane(inbox, offered, arrivals, stall, m)
+        lat_num = 0.0
+        for i in range(len(self._order)):
+            if self._is_source[i]:
+                if g >= 1.0:
+                    m.offered += offered[i]
+                m.processed += processed[i]
+                lat[i] += processed[i] * bp_penalty_ms
+            lat_num += lat[i]
+        m.latency_ms = lat_num / max(m.processed, _EPS)
+        return next_inbox
+
+    def _throttle_factor(self, arrivals: np.ndarray) -> float:
         """Fluid spout-throttle: largest g in (0, 1] such that no task
         anywhere receives more than its capacity this epoch.
 
@@ -258,93 +367,80 @@ class BaseSim:
         the queueing delay charged by the data plane), whereas
         persistent per-task overload throttles the spout itself.
         """
-        g = 1.0
-        for name in self._order:
-            rt = self.ops[name]
-            a = np.bincount(
-                rt.key_to_shard, weights=arrivals[name], minlength=rt.op.total_shards
-            )
-            a_t = np.bincount(rt.shard_assign, weights=a, minlength=rt.n_tasks)
-            cap_t = (
-                self.spec.core_capacity_per_epoch(self.cfg.epoch_s) / rt.op.cpu_cost_ms
-            )
-            hot = a_t > 0
-            if hot.any():
-                g = min(g, float((cap_t / np.maximum(a_t, _EPS))[hot].min()))
+        a_t = np.bincount(self._global_assign(), weights=arrivals, minlength=len(self._task_op))
+        hot = a_t > 0
+        if not hot.any():
+            return 1.0
+        cap_t = (self._core_cap / self._cost)[self._task_op]
+        g = float((cap_t / np.maximum(a_t, _EPS))[hot].min())
         return max(0.0, min(1.0, g))
 
     # ------------------------------------------------------------------
-    # shared data plane for one operator-epoch
+    # shared data plane: every operator in one pass
     # ------------------------------------------------------------------
-    def _process_operator(
-        self, rt: OpRuntime, in_counts: np.ndarray, now_s: float, m: EpochMetrics
-    ) -> tuple[np.ndarray, float, float, float]:
-        """Returns (out_counts_per_key, processed, offered, latency_numerator)."""
-        cfg, op = self.cfg, rt.op
-        cost = op.cpu_cost_ms
+    def _data_plane(
+        self,
+        inbox: np.ndarray,
+        offered: np.ndarray,
+        arrivals: np.ndarray,
+        stall: np.ndarray,
+        m: EpochMetrics,
+    ) -> tuple[np.ndarray, list[float], list[float]]:
+        """Advance every operator by one epoch.  Returns (next inbox,
+        processed tuples per operator, latency numerator per operator)."""
+        cfg = self.cfg
         epoch_ms = cfg.epoch_s * 1000.0
-        offered = float(in_counts.sum())
-        a = np.bincount(rt.key_to_shard, weights=in_counts, minlength=op.total_shards)
+        assign = self._global_assign()
+        n_tasks = len(self._task_op)
+        a = arrivals
+        queue_n, resid_n, resid_wait, pause_ms = (
+            self._queue_n, self._resid_n, self._resid_wait, self._pause_ms
+        )
 
-        # ---- operator-level stall (RC repartitioning) ----
-        stall_frac = self._stall_frac(rt, now_s)
-        if rt.pending_moves and rt.stall_until_s <= now_s + cfg.epoch_s:
-            # repartitioning completes inside this epoch: apply the moves
-            for mv in rt.pending_moves:
-                rt.shard_assign[mv.shard] = mv.dst
-            m.n_shard_moves += len(rt.pending_moves)
-            m.migrated_bytes += rt.pending_migration_bytes
-            rt.pending_moves = []
-            rt.pending_migration_bytes = 0.0
-
-        assign = rt.shard_assign
-        n_tasks = rt.n_tasks
-
-        # ---- per-task capacity (tuples) ----
-        cap_ms = self.spec.core_capacity_per_epoch(cfg.epoch_s) * (1.0 - stall_frac)
-        cap_t = np.full(n_tasks, cap_ms / cost)
+        # ---- per-task capacity (tuples), less any operator stall ----
+        cap_t = ((self._core_cap * (1.0 - stall)) / self._cost)[self._task_op]
 
         # ---- NIC throttling + remote traffic accounting ----
-        remote = rt.tasks_node != rt.exec_home[rt.tasks_exec]
-        if remote.any():
-            a_t = np.bincount(assign, weights=a, minlength=n_tasks)
-            bytes_t = a_t * self.topology.link_bytes_per_tuple(op.name)
+        a_t = np.bincount(assign, weights=a, minlength=n_tasks)
+        if self._nic is not None:
+            members, group_of, n_groups, by_size, link = self._nic
+            bytes_t = a_t * link
+            demand = np.empty(n_groups)
+            for gids, tasks in by_size:
+                demand[gids] = bytes_t[tasks].sum(axis=1)
             nic_cap = self.spec.nic_bytes_per_s * cfg.epoch_s
-            for h in np.unique(rt.exec_home[rt.tasks_exec[remote]]):
-                mask = remote & (rt.exec_home[rt.tasks_exec] == h)
-                demand = bytes_t[mask].sum()
-                if demand > nic_cap:
-                    cap_t[mask] *= nic_cap / demand
-                m.remote_bytes += min(demand, nic_cap)
+            over = demand > nic_cap
+            if over.any():
+                factor = np.ones(n_groups)
+                factor[over] = nic_cap / demand[over]
+                cap_t[members] *= factor[group_of]
+            m.remote_bytes = _add_in_order(m.remote_bytes, np.minimum(demand, nic_cap))
 
         # ---- admission: residual (older) first, then new arrivals ----
-        q_cap = cfg.queue_cap_ms / cost
-        q_t = np.bincount(assign, weights=rt.queue_n, minlength=n_tasks)
+        q_t = np.bincount(assign, weights=queue_n, minlength=n_tasks)
         backlog_t = q_t.copy()  # carried from previous epochs: drains first
-        room_t = np.maximum(0.0, q_cap - q_t)
-        r_t = np.bincount(assign, weights=rt.resid_n, minlength=n_tasks)
+        room_t = np.maximum(0.0, self._queue_cap - q_t)
+        r_t = np.bincount(assign, weights=resid_n, minlength=n_tasks)
         adm_r_t = np.minimum(r_t, room_t)
-        a_t = np.bincount(assign, weights=a, minlength=n_tasks)
         adm_a_t = np.minimum(a_t, room_t - adm_r_t)
-        fr = adm_r_t / np.maximum(r_t, _EPS)
-        fa = adm_a_t / np.maximum(a_t, _EPS)
-        adm_r = rt.resid_n * fr[assign]
-        adm_a = a * fa[assign]
-        adm_wait = rt.resid_wait * fr[assign]  # ms·tuples carried by admitted residual
-        rt.resid_wait *= 1.0 - fr[assign]
-        rt.resid_n = rt.resid_n - adm_r + (a - adm_a)
-        rt.queue_n = rt.queue_n + adm_r + adm_a
+        fr = (adm_r_t / np.maximum(r_t, _EPS))[assign]
+        fa = (adm_a_t / np.maximum(a_t, _EPS))[assign]
+        adm_r = resid_n * fr
+        adm_a = a * fa
+        adm_wait = resid_wait * fr  # ms·tuples carried by admitted residual
+        resid_wait *= 1.0 - fr
+        resid_n[:] = resid_n - adm_r + (a - adm_a)
+        queue_n[:] = queue_n + adm_r + adm_a
         carried_wait = np.bincount(assign, weights=adm_wait, minlength=n_tasks)
 
         # ---- processing ----
-        pause_frac = np.clip(rt.pause_ms / epoch_ms, 0.0, 1.0)
-        avail = rt.queue_n * (1.0 - pause_frac)
+        pause_frac = np.clip(pause_ms / epoch_ms, 0.0, 1.0)
+        avail = queue_n * (1.0 - pause_frac)
         avail_t = np.bincount(assign, weights=avail, minlength=n_tasks)
         proc_t = np.minimum(avail_t, cap_t)
         f_t = proc_t / np.maximum(avail_t, _EPS)
         proc_s = avail * f_t[assign]
-        rt.queue_n = np.maximum(0.0, rt.queue_n - proc_s)
-        processed = float(proc_s.sum())
+        queue_n[:] = np.maximum(0.0, queue_n - proc_s)
 
         # ---- latency numerator (ms·tuples) ----
         # Two wait regimes per task: (a) carried backlog must drain
@@ -353,41 +449,59 @@ class BaseSim:
         # bounded above by the batch-drain wait (0.5·batch/rate) when it
         # saturates.  Plus service time, protocol pauses, and the wait
         # already accumulated by residual tuples admitted this epoch.
+        cost_t = self._task_cost
         rate_t = np.maximum(cap_t / epoch_ms, _EPS)  # tuples per ms
         adm_t = adm_r_t + adm_a_t
         rho_t = np.minimum(adm_t / np.maximum(cap_t, _EPS), 1.0 - 1e-9)
-        wait_mm1 = cost * rho_t / (1.0 - rho_t)
+        wait_mm1 = cost_t * rho_t / (1.0 - rho_t)
         wait_batch = 0.5 * adm_t / rate_t
         wait_t = backlog_t / rate_t + np.minimum(wait_mm1, wait_batch)
-        lat_num = float((proc_t * (wait_t + cost)).sum())
-        lat_num += float((proc_s * np.minimum(rt.pause_ms, epoch_ms)).sum())
-        lat_num += float(carried_wait.sum())
+        lat_t = proc_t * (wait_t + cost_t)
+        lat_s = proc_s * np.minimum(pause_ms, epoch_ms)
 
         # ---- residual aging + shedding ----
-        rt.resid_wait += rt.resid_n * epoch_ms
-        resid_cap = cfg.resid_cap_ms / cost
-        over = np.maximum(0.0, rt.resid_n - resid_cap)
-        keep = 1.0 - over / np.maximum(rt.resid_n, _EPS)
-        rt.resid_wait *= keep
-        rt.resid_n -= over
-        shed = float(over.sum())
-        rt.shed_total += shed
-        m.shed += shed
+        resid_wait += resid_n * epoch_ms
+        over_s = np.maximum(0.0, resid_n - self._resid_cap)
+        keep = 1.0 - over_s / np.maximum(resid_n, _EPS)
+        resid_wait *= keep
+        resid_n -= over_s
 
         # pauses are one-shot
-        rt.pause_ms[:] = 0.0
+        pause_ms[:] = 0.0
 
-        # ---- outputs per key ----
-        if offered > 0:
-            rt.last_dist = in_counts / offered
-        dist = rt.last_dist if rt.last_dist is not None else np.full(len(in_counts), 1.0 / len(in_counts))
-        out_counts = processed * dist
-        return out_counts, processed, offered, lat_num
+        # ---- per-operator totals, each over the operator's own slice ----
+        processed, lat = [], []
+        so, to = self._shard_off.tolist(), self._task_off.tolist()
+        for i, name in enumerate(self._order):
+            ss, ts = slice(so[i], so[i + 1]), slice(to[i], to[i + 1])
+            processed.append(float(proc_s[ss].sum()))
+            lat.append(
+                float(lat_t[ts].sum()) + float(lat_s[ss].sum()) + float(carried_wait[ts].sum())
+            )
+            shed = float(over_s[ss].sum())
+            self.ops[name].shed_total += shed
+            m.shed += shed
+
+        # ---- outputs per key, into the downstream operators' rows ----
+        seen = offered > 0
+        self._last_dist[seen] = inbox[seen] / offered[seen, None]
+        next_inbox = np.zeros_like(inbox)
+        if self._feeds:
+            out = np.array(processed)[:, None] * self._last_dist * self._sel
+            for down, up in self._feeds:
+                next_inbox[down] = next_inbox[down] + out[up]
+        return next_inbox, processed, lat
 
     # ------------------------------------------------------------------
     # shared helpers for paradigms
     # ------------------------------------------------------------------
-    def shard_loads_ms(self, rt: OpRuntime, in_counts: np.ndarray) -> np.ndarray:
-        """Per-shard workload (CPU-ms) = queued + arriving work."""
-        a = np.bincount(rt.key_to_shard, weights=in_counts, minlength=rt.op.total_shards)
-        return (a + rt.queue_n) * rt.op.cpu_cost_ms
+    def shard_loads_ms(self, arrivals: np.ndarray) -> np.ndarray:
+        """Per-shard workload (CPU-ms) = queued + arriving work, over
+        the engine-wide shard space."""
+        return (arrivals + self._queue_n) * self._shard_cost
+
+
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """``total`` plus ``values`` added one at a time (``cumsum`` is
+    sequential; ``sum`` is pairwise and may round differently)."""
+    return float(np.cumsum(np.r_[total, values])[-1])

@@ -36,15 +36,15 @@ def micro_topology(
     *,
     n_executors: int = 32,
     shards_per_executor: int = 256,
-    cpu_cost_ms: float = 1.0,
     tuple_bytes: int = 128,
 ) -> Topology:
-    """The Fig. 5 calculator operator with §5.1 defaults."""
+    """The Fig. 5 calculator operator with §5.1 defaults (1 ms of CPU
+    per tuple)."""
     return Topology(
         [
             OperatorSpec(
                 name="calculator",
-                cpu_cost_ms=cpu_cost_ms,
+                cpu_cost_ms=1.0,
                 tuple_bytes=tuple_bytes,
                 n_executors=n_executors,
                 shards_per_executor=shards_per_executor,

@@ -39,9 +39,11 @@ def measured_ec_sync_ms(spec: ClusterSpec | None = None) -> float:
     return ex.sync_ms / max(1, ex.n_reassignments)
 
 
-def reassignment_breakdown(*, state_bytes: int = DEFAULT_SHARD_STATE_BYTES) -> pd.DataFrame:
-    """Fig. 8: per-shard reassignment time (ms), sync vs migration."""
+def reassignment_breakdown() -> pd.DataFrame:
+    """Fig. 8: per-shard reassignment time (ms), sync vs migration, for
+    the default shard state."""
     spec = ClusterSpec()
+    state_bytes = DEFAULT_SHARD_STATE_BYTES
     rows = []
     for scope, inter in (("intra-node", False), ("inter-node", True)):
         ec_sync, ec_mig = spec.ec_shard_reassign_ms(state_bytes, inter)

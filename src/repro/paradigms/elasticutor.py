@@ -37,7 +37,7 @@ from repro.core.assignment import AssignmentResult, assign_cores
 from repro.core.load_balancer import rebalance
 from repro.core.scheduler import allocate_cores
 from repro.engine.metrics import EpochMetrics
-from repro.engine.simulator import BaseSim, OpRuntime
+from repro.engine.simulator import BaseSim, OpRuntime, _add_in_order
 from repro.substrate.topology import OperatorSpec
 
 _EPS = 1e-12
@@ -78,17 +78,49 @@ class ElasticutorSim(BaseSim):
                 f"cluster has {self.spec.total_cores}"
             )
         super().setup(n_keys)
-        total = 0
-        for name in self._order:
-            y = self.ops[name].op.n_executors
-            self._gslice[name] = slice(total, total + y)
-            total += y
-        X = np.zeros((self.spec.n_nodes, total), dtype=np.int64)
-        for name in self._order:
-            rt = self.ops[name]
-            for j, home in enumerate(rt.exec_home):
-                X[home, self._gslice[name].start + j] += 1
+        for i, name in enumerate(self._order):
+            self._gslice[name] = slice(int(self._exec_off[i]), int(self._exec_off[i + 1]))
+        M = int(self._exec_off[-1])
+        X = np.zeros((self.spec.n_nodes, M), dtype=np.int64)
+        np.add.at(X, (self._exec_home, np.arange(M)), 1)
         self._Xg = X
+        # per-executor constants of the measurement step
+        ops = [self.ops[name].op for name in self._order]
+        z = np.array([op.shards_per_executor for op in ops])[self._exec_op]
+        self._exec_z = z
+        self._exec_shard0 = np.cumsum(z) - z
+        self._shard_exec = np.repeat(np.arange(M), z)
+        self._mus = (self.spec.core_capacity_ms_per_s / self._cost)[self._exec_op]
+        exec_bytes = [op.shards_per_executor * op.shard_state_bytes for op in ops]
+        self._sbytes = np.array(exec_bytes, dtype=float)[self._exec_op]
+        self._exec_link = self._link_bytes[self._exec_op]
+        # runs of consecutive executors with the same shard count: their
+        # shards form one (executors × z) block, summed row by row
+        starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
+        ends = np.r_[starts[1:], M]
+        self._z_runs = [
+            (int(e0), int(e1), int(self._exec_shard0[e0]), int(z[e0]))
+            for e0, e1 in zip(starts, ends)
+        ]
+        # the §3.3 charge of one move per operator: (sync, pause) of an
+        # intra-node move, then of an inter-node one
+        charges = []
+        for op in ops:
+            row = []
+            for inter in (False, True):
+                sync, mig = self.spec.ec_shard_reassign_ms(op.shard_state_bytes, inter)
+                row += [sync, sync + mig]
+            charges.append(row)
+        self._move_charge = np.array(charges)
+        self._state_bytes = np.array([op.shard_state_bytes for op in ops])
+
+    def _exec_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-executor sum of a per-shard array (each a row sum over
+        the executor's z shards)."""
+        out = np.empty(len(self._exec_z))
+        for e0, e1, s0, z in self._z_runs:
+            out[e0:e1] = x[s0 : s0 + (e1 - e0) * z].reshape(e1 - e0, z).sum(axis=1)
+        return out
 
     # ------------------------------------------------------------------
     # control plane
@@ -104,33 +136,17 @@ class ElasticutorSim(BaseSim):
         return assign_cores(k, self._Xg, cores, state_bytes, local_node, data_intensity)
 
     def _elasticity(
-        self, epoch: int, now_s: float, arrivals: dict[str, np.ndarray], m: EpochMetrics
+        self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
     ) -> None:
         cfg, spec = self.cfg, self.spec
-        M = self._Xg.shape[1]
-        lams = np.zeros(M)
-        mus = np.zeros(M)
-        sbytes = np.zeros(M)
-        local = np.zeros(M, dtype=np.int64)
-        dint = np.zeros(M)
         kcur = self._Xg.sum(axis=0)
+        demand = self._exec_sums(arrivals + self._queue_n + self._resid_n)
+        lams = demand / cfg.epoch_s
+        arr_rate = self._exec_sums(arrivals) / cfg.epoch_s
+        dint = arr_rate * self._exec_link / np.maximum(kcur, 1)
         lam0 = 0.0
-        for name in self._order:
-            rt = self.ops[name]
-            op = rt.op
-            y, z = op.n_executors, op.shards_per_executor
-            gsl = self._gslice[name]
-            a = np.bincount(rt.key_to_shard, weights=arrivals[name], minlength=op.total_shards)
-            demand = (a + rt.queue_n + rt.resid_n).reshape(y, z).sum(axis=1)
-            lams[gsl] = demand / cfg.epoch_s
-            mus[gsl] = spec.core_capacity_ms_per_s / op.cpu_cost_ms
-            sbytes[gsl] = z * op.shard_state_bytes
-            local[gsl] = rt.exec_home
-            arr_rate = a.reshape(y, z).sum(axis=1) / cfg.epoch_s
-            link_bytes = self.topology.link_bytes_per_tuple(name)
-            dint[gsl] = arr_rate * link_bytes / np.maximum(kcur[gsl], 1)
-            if not self.topology.upstreams(name):
-                lam0 += float(arrivals[name].sum()) / cfg.epoch_s
+        for i in self._sources:
+            lam0 += float(inbox[i].sum()) / cfg.epoch_s
 
         # EWMA-smooth the measured arrival rates (the system's metrics
         # are windowed measurements, not raw per-second noise) so the
@@ -148,62 +164,63 @@ class ElasticutorSim(BaseSim):
         # allocator θ-scaled demand to keep every task stable.
         lam_eff = (lams * cfg.theta).tolist()
         alloc = allocate_cores(
-            max(lam0, _EPS), lam_eff, mus.tolist(), spec.total_cores, cfg.t_max_ms
+            max(lam0, _EPS), lam_eff, self._mus.tolist(), spec.total_cores, cfg.t_max_ms
         )
         k = np.asarray(alloc.cores, dtype=np.int64)
         if k.sum() > spec.total_cores:
-            k = _cap_allocation(lams / mus, spec.total_cores)
-        res = self._assign(k, sbytes, local, dint)
+            k = _cap_allocation(lams / self._mus, spec.total_cores)
+        res = self._assign(k, self._sbytes, self._exec_home, dint)
         m.sched_ms += (time.perf_counter() - t0) * 1000.0
         m.n_core_changes += int(np.abs(res.X - self._Xg).sum() // 2)
-        for name in self._order:
-            Xop = res.X[:, self._gslice[name]]
-            self._rebuild_operator(self.ops[name], Xop, arrivals[name], m)
+        self._apply(res.X, self.shard_loads_ms(arrivals), m)
         self._Xg = res.X
 
     # ------------------------------------------------------------------
     # applying a new core-to-executor assignment
     # ------------------------------------------------------------------
-    def _rebuild_operator(
-        self, rt: OpRuntime, Xop: np.ndarray, in_counts: np.ndarray, m: EpochMetrics
-    ) -> None:
-        """Apply ``Xop`` (cores per node per executor) to one operator.
+    def _apply(self, X: np.ndarray, loads: np.ndarray, m: EpochMetrics) -> None:
+        """Apply ``X`` (cores per node per executor, every executor of
+        every operator) in one rebuild of the engine-wide task list.
 
         The new task list is ordered executor-major, node-minor, as the
-        initial layout is.  Within each (executor, node) group the old
-        tasks survive in order up to the wanted count; the rest die and
-        new tasks fill the group's tail.  Shards of dead tasks are
-        re-homed (heaviest first, each onto the least-loaded task), then
-        each executor is rebalanced to δ < θ.
+        initial layout is; executors are numbered operator by operator,
+        so each operator's tasks stay contiguous.  Within each
+        (executor, node) group the old tasks survive in order up to the
+        wanted count; the rest die and new tasks fill the group's tail.
+        Shards of dead tasks are re-homed (heaviest first, each onto the
+        least-loaded task), then each executor is rebalanced to δ < θ.
 
-        One operator-wide ``bincount`` of the surviving shards screens
-        the executors: only those with orphans, or with several tasks
-        and δ not clearly below θ, enter the per-executor loop; for the
-        rest :func:`rebalance` would return at once with no move.  The
-        moves are collected in order and charged once per operator.
-        With an unchanged ``Xop`` every task maps to itself, so this
-        reduces to the per-executor rebalance."""
-        op = rt.op
-        y, z = op.n_executors, op.shards_per_executor
+        One ``bincount`` of the surviving shards screens the executors:
+        only those with orphans, or with several tasks and δ not clearly
+        below θ, enter the per-executor loop; for the rest
+        :func:`rebalance` would return at once with no move.  The moves
+        are collected in executor order and charged once.  With an
+        unchanged ``X`` every task maps to itself, so this reduces to
+        the per-executor rebalance."""
         n = self.spec.n_nodes
-        k = Xop.sum(axis=0)
+        M = X.shape[1]
+        k = X.sum(axis=0)
         if (k == 0).any():
             j = int(np.flatnonzero(k == 0)[0])
-            raise RuntimeError(f"executor {j} of {op.name} left with no core")
-        loads = self.shard_loads_ms(rt, in_counts)
-        want = Xop.T.ravel()  # cores of group g = executor * n + node
-        groups = np.repeat(np.arange(y * n), want)
+            i = int(self._exec_op[j])
+            raise RuntimeError(
+                f"executor {j - int(self._exec_off[i])} of {self._order[i]} left with no core"
+            )
+        want = X.T.ravel()  # cores of group g = executor * n + node
+        groups = np.repeat(np.arange(M * n), want)
         nodes_arr = groups % n
         exec_arr = groups // n
         group_start = np.cumsum(want) - want
         # stable rank of each old task inside its (executor, node) group
-        old_g = rt.tasks_exec * n + rt.tasks_node
+        old_g = self._task_exec * n + self._task_node
+        n_old = len(old_g)
         order = np.argsort(old_g, kind="stable")
-        old_count = np.bincount(old_g, minlength=y * n)
-        rank = np.empty(rt.n_tasks, dtype=np.int64)
-        rank[order] = np.arange(rt.n_tasks) - (np.cumsum(old_count) - old_count)[old_g[order]]
+        old_count = np.bincount(old_g, minlength=M * n)
+        rank = np.empty(n_old, dtype=np.int64)
+        rank[order] = np.arange(n_old) - (np.cumsum(old_count) - old_count)[old_g[order]]
         old_to_new = np.where(rank < want[old_g], group_start[old_g] + rank, -1)
-        new_assign = old_to_new[rt.shard_assign]  # -1 where the task died
+        old_assign = self._global_assign()
+        new_assign = old_to_new[old_assign]  # -1 where the task died
         exec_start = np.cumsum(k) - k
         # Each task's load sums its shards in shard order, as the
         # per-executor bincount in rebalance does, so the values match.
@@ -214,11 +231,12 @@ class ElasticutorSim(BaseSim):
         # The 1e-9 margin covers the rounding between this mean and
         # rebalance's, so an executor near θ still gets the exact test;
         # an idle one (max = mean = 0) is skipped, as rebalance stops there.
-        orphaned = ~live.reshape(y, z).all(axis=1)
+        orphaned = np.bincount(self._shard_exec[~live], minlength=M) > 0
         busy = orphaned | ((k > 1) & (tmax > self.cfg.theta * (1.0 - 1e-9) * tmean))
         moved, inter = [], []  # shard and crosses-nodes flag per move, in order
+        shard0, zs = self._exec_shard0, self._exec_z
         for j in np.flatnonzero(busy).tolist():
-            kj, s0, tj0 = int(k[j]), j * z, int(exec_start[j])
+            kj, s0, z, tj0 = int(k[j]), int(shard0[j]), int(zs[j]), int(exec_start[j])
             sl = slice(s0, s0 + z)
             loc = new_assign[sl] - tj0  # negative where orphaned
             lj = loads[sl]
@@ -234,7 +252,7 @@ class ElasticutorSim(BaseSim):
                 start = [0] * kj if truncate else tl[tj0 : tj0 + kj].tolist()
                 loc[orphans] = _least_loaded_first(start, lj[orphans].tolist(), truncate)
                 moved.append(s0 + orphans)
-                old_nodes = rt.tasks_node[rt.shard_assign[s0 + orphans]]
+                old_nodes = self._task_node[old_assign[s0 + orphans]]
                 inter.append(old_nodes != nodes_arr[tj0 + loc[orphans]])
             if kj > 1:
                 loc, moves = rebalance(lj, loc, kj, self.cfg.theta)
@@ -244,26 +262,22 @@ class ElasticutorSim(BaseSim):
                     inter.append(nodes_arr[tj0 + sd[:, 1]] != nodes_arr[tj0 + sd[:, 2]])
             new_assign[sl] = tj0 + loc
         if moved:
-            self._charge_moves(rt, m, np.concatenate(moved), np.concatenate(inter))
-        rt.tasks_node = nodes_arr
-        rt.tasks_exec = exec_arr
-        rt.shard_assign = new_assign
+            self._charge_moves(m, np.concatenate(moved), np.concatenate(inter))
+        self._set_tasks(nodes_arr, exec_arr)
+        self._shard_task[:] = new_assign - self._shard_task_off
 
-    def _charge_moves(
-        self, rt: OpRuntime, m: EpochMetrics, shards: np.ndarray, inter: np.ndarray
-    ) -> None:
-        """Charge the §3.3 protocol cost of each move, in order: the
-        shard pauses for sync + migration, and the epoch adds the sync
-        time and, for an inter-node move, the shard's state bytes.  The
-        epoch totals are accumulated one move at a time, so they equal
-        a per-move ``+=`` bit for bit."""
-        nbytes = rt.op.shard_state_bytes
-        sync_intra, mig_intra = self.spec.ec_shard_reassign_ms(nbytes, False)
-        sync_inter, mig_inter = self.spec.ec_shard_reassign_ms(nbytes, True)
-        pause = np.where(inter, sync_inter + mig_inter, sync_intra + mig_intra)
-        np.add.at(rt.pause_ms, shards, pause)  # in order, repeated shards included
-        m.sync_ms = _add_in_order(m.sync_ms, np.where(inter, sync_inter, sync_intra))
-        m.migrated_bytes = _add_in_order(m.migrated_bytes, np.full(int(inter.sum()), nbytes))
+    def _charge_moves(self, m: EpochMetrics, shards: np.ndarray, inter: np.ndarray) -> None:
+        """Charge the §3.3 protocol cost of each move (engine-wide shard
+        ids), in order: the shard pauses for sync + migration, and the
+        epoch adds the sync time and, for an inter-node move, the
+        operator's shard-state bytes.  The epoch totals are accumulated
+        one move at a time, so they equal a per-move ``+=`` bit for bit."""
+        op = self._shard_op[shards]
+        charge = self._move_charge[op]
+        pause = np.where(inter, charge[:, 3], charge[:, 1])
+        np.add.at(self._pause_ms, shards, pause)  # in order, repeated shards included
+        m.sync_ms = _add_in_order(m.sync_ms, np.where(inter, charge[:, 2], charge[:, 0]))
+        m.migrated_bytes = _add_in_order(m.migrated_bytes, self._state_bytes[op[inter]])
         m.n_shard_moves += int(shards.size)
 
 
@@ -297,9 +311,3 @@ def _least_loaded_first(task_loads: list, shard_loads: list, truncate: bool) -> 
         heapq.heapreplace(heap, (int(load) if truncate else load, t))
         placed.append(t)
     return placed
-
-
-def _add_in_order(total: float, values: np.ndarray) -> float:
-    """``total`` plus ``values`` added one at a time (``cumsum`` is
-    sequential; ``sum`` is pairwise and may round differently)."""
-    return float(np.cumsum(np.r_[total, values])[-1])

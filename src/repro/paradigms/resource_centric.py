@@ -27,18 +27,28 @@ from repro.paradigms.static_paradigm import StaticSim
 
 
 class ResourceCentricSim(StaticSim):
-    """RC: static layout + globally-synchronised repartitioning."""
+    """RC: static layout + globally-synchronised repartitioning.
+
+    A repartitioning in progress is held here, not in the shared data
+    plane: per operator, the sim-time its stall ends, and the moves and
+    migrated bytes it applies when it completes."""
 
     name = "resource-centric"
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._stall_until: dict[str, float] = {}
+        self._pending: dict[str, tuple[list, float]] = {}
+
     def _elasticity(
-        self, epoch: int, now_s: float, arrivals: dict[str, np.ndarray], m: EpochMetrics
+        self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
     ) -> None:
-        for name in self._order:
+        all_loads = self.shard_loads_ms(arrivals)
+        for i, name in enumerate(self._order):
             rt = self.ops[name]
-            if rt.stall_until_s > now_s or rt.pending_moves:
+            if self._stall_until.get(name, 0.0) > now_s or name in self._pending:
                 continue  # one repartitioning at a time
-            loads = self.shard_loads_ms(rt, arrivals[name])
+            loads = all_loads[self._shard_off[i] : self._shard_off[i + 1]]
             tl = task_loads(loads, rt.shard_assign, rt.n_tasks)
             delta_before = imbalance(tl)
             if tl.sum() <= 0 or delta_before < self.cfg.theta:
@@ -56,7 +66,7 @@ class ResourceCentricSim(StaticSim):
             if epoch < self.cfg.warmup_epochs:
                 # measurements start from a stabilised system (§5): the
                 # initial balancing pass is not charged to the run.
-                rt.shard_assign = new_assign
+                rt.shard_assign[:] = new_assign
                 continue
             # --- protocol cost (all serial, operator stalled throughout) ---
             sync_ms = self.spec.rc_sync_ms(self.n_upstream_executors(name))
@@ -72,7 +82,24 @@ class ResourceCentricSim(StaticSim):
                 if inter:
                     mig_bytes += rt.op.shard_state_bytes
             total_ms = sync_ms + drain_ms + mig_ms
-            rt.stall_until_s = now_s + total_ms / 1000.0
-            rt.pending_moves = moves
-            rt.pending_migration_bytes = mig_bytes
+            self._stall_until[name] = now_s + total_ms / 1000.0
+            self._pending[name] = (moves, mig_bytes)
             m.sync_ms += sync_ms
+
+    def _repartition(self, now_s: float, m: EpochMetrics) -> np.ndarray:
+        """The operator is stalled until its repartitioning completes;
+        the moves take effect in the epoch in which it does."""
+        stall = np.zeros(len(self._order))
+        epoch_s = self.cfg.epoch_s
+        for i, name in enumerate(self._order):
+            until = self._stall_until.get(name, 0.0)
+            if until > now_s:
+                stall[i] = min(1.0, (until - now_s) / epoch_s)
+            if name in self._pending and until <= now_s + epoch_s:
+                moves, mig_bytes = self._pending.pop(name)
+                rt = self.ops[name]
+                for mv in moves:
+                    rt.shard_assign[mv.shard] = mv.dst
+                m.n_shard_moves += len(moves)
+                m.migrated_bytes += mig_bytes
+        return stall

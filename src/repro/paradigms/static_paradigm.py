@@ -39,6 +39,6 @@ class StaticSim(BaseSim):
         )
 
     def _elasticity(
-        self, epoch: int, now_s: float, arrivals: dict[str, np.ndarray], m: EpochMetrics
+        self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
     ) -> None:
         """No elasticity operations — that is the point of this baseline."""

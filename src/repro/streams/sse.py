@@ -51,11 +51,11 @@ def sse_trace(
     n_epochs: int,
     rate: float,
     n_stocks: int = 2000,
-    epoch_s: float = 1.0,
     cpu_cost_ms: float = 0.5,
     seed: int = 17,
 ) -> Trace:
-    """Per-epoch per-stock order counts with bursty, drifting popularity.
+    """Per-epoch per-stock order counts with bursty, drifting popularity,
+    in 1 s epochs.
 
     ``rate`` is the *mean* aggregate orders/s; the instantaneous rate is
     modulated by a ±20 % sinusoid.  ``cpu_cost_ms`` is the transactor's
@@ -76,7 +76,7 @@ def sse_trace(
     perm = rng.permutation(n_stocks)
     hot = np.zeros(n_stocks, dtype=bool)
     counts = np.zeros((n_epochs, n_stocks), dtype=np.int64)
-    drift_period = max(1, int(round(DRIFT_EVERY_S / epoch_s)))
+    drift_period = max(1, int(round(DRIFT_EVERY_S)))
     for t in range(n_epochs):
         if t > 0 and t % drift_period == 0:
             k = max(2, int(DRIFT_FRAC * n_stocks))
@@ -90,8 +90,8 @@ def sse_trace(
         w = base[perm] * np.where(hot, HOT_BOOST, 1.0)
         w = w / w.sum()
         inst_rate = rate * (1.0 + 0.2 * np.sin(2 * np.pi * t / max(n_epochs, 60)))
-        counts[t] = rng.multinomial(int(round(inst_rate * epoch_s)), w)
-    return Trace(counts=counts, epoch_s=epoch_s, tuple_bytes=ORDER_BYTES, cpu_cost_ms=cpu_cost_ms)
+        counts[t] = rng.multinomial(int(round(inst_rate)), w)
+    return Trace(counts=counts, epoch_s=1.0, tuple_bytes=ORDER_BYTES, cpu_cost_ms=cpu_cost_ms)
 
 
 def sse_orders_pdf(

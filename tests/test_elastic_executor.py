@@ -338,7 +338,7 @@ class TestCostMatchesEngine:
         sim = ElasticutorSim(topo, EngineConfig(spec=self.SPEC))
         sim.setup(10)
         rt, m = sim.ops["op"], EpochMetrics(epoch=0)
-        sim._charge_moves(rt, m, np.array([0]), np.array([inter]))
+        sim._charge_moves(m, np.array([0]), np.array([inter]))
         return rt, m
 
     def test_inter_node_move(self):

@@ -65,7 +65,9 @@ class TestResourceCentric:
         r = sim.run(dynamic_trace(omega=8))
         stall_epochs = [e for e in r.epochs if e.sync_ms > 0]
         assert stall_epochs, "dynamic workload must trigger repartitioning"
-        rt = sim.ops["calculator"]
+        cfg = EngineConfig(spec=spec(), warmup_epochs=2)
+        stalls = _stall_factors(ResourceCentricSim, topo(), cfg, dynamic_trace(omega=8))
+        assert max(s.max() for s in stalls) > 0
 
     def test_sync_cost_scales_with_spout_parallelism(self):
         t = dynamic_trace(omega=8)
@@ -129,9 +131,12 @@ class TestElasticutor:
         assert np.array_equal(owner_exec, np.arange(rt.op.total_shards) // z)
 
     def test_no_operator_stalls(self):
-        sim = ElasticutorSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
-        sim.run(dynamic_trace(omega=16))
-        assert sim.ops["calculator"].stall_until_s == 0.0
+        """Elasticity is executor-local: no operator's capacity is ever
+        cut by a stall, in any epoch."""
+        cfg = EngineConfig(spec=spec(), warmup_epochs=0)
+        stalls = _stall_factors(ElasticutorSim, topo(), cfg, dynamic_trace(omega=16))
+        assert len(stalls) == 25
+        assert all(s.tolist() == [0.0] for s in stalls)
 
     def test_sync_is_2ms_per_move(self):
         cfg = EngineConfig(spec=spec(), warmup_epochs=0)
@@ -171,7 +176,7 @@ class TestElasticutor:
 
         def reapply(counts):
             nodes, execs = rt.tasks_node.copy(), rt.tasks_exec.copy()
-            loads = sim.shard_loads_ms(rt, counts)
+            loads = sim.shard_loads_ms(sim._route(counts[None, :]))
             want, n_moves = rt.shard_assign.copy(), 0
             z = rt.op.shards_per_executor
             for j in range(rt.op.n_executors):
@@ -181,7 +186,7 @@ class TestElasticutor:
                 want[sj] = tj[new]
                 n_moves += len(moves)
             m = EpochMetrics(epoch=0)
-            sim._rebuild_operator(rt, sim._Xg[:, sim._gslice["calculator"]], counts, m)
+            sim._apply(sim._Xg, loads, m)
             assert np.array_equal(rt.tasks_node, nodes)
             assert np.array_equal(rt.tasks_exec, execs)
             assert np.array_equal(rt.shard_assign, want)
@@ -192,7 +197,7 @@ class TestElasticutor:
         counts = trace.counts[0].astype(float)
         assert reapply(counts) == 0  # one core per executor after setup
         m = EpochMetrics(epoch=0)
-        sim._elasticity(0, 0.0, {"calculator": counts}, m)
+        sim._elasticity(0, 0.0, counts[None, :], sim._route(counts[None, :]), m)
         assert m.n_core_changes > 0
         assert reapply(rng.permutation(counts)) > 0
 
@@ -242,6 +247,20 @@ class TestNaiveEC:
         )
 
 
+def _stall_factors(cls, topology, cfg, trace):
+    """Each epoch's per-operator stall factors of a run of ``cls``."""
+    stalls = []
+
+    class Recording(cls):
+        def _repartition(self, now_s, m):
+            stall = super()._repartition(now_s, m)
+            stalls.append(stall.copy())
+            return stall
+
+    Recording(topology, cfg).run(trace)
+    return stalls
+
+
 def _charge_move(sim, rt, m, shard, src_node, dst_node):
     """One move's §3.3 charge, added move by move: the sequential
     accumulation the engine's batched charging must equal bit for bit."""
@@ -253,11 +272,30 @@ def _charge_move(sim, rt, m, shard, src_node, dst_node):
     m.n_shard_moves += 1
 
 
-def _loop_rebuild(sim, rt, Xop, in_counts, m):
-    """Per-executor, per-node loop form of ``_rebuild_operator``: the
-    reference its array-built task list is checked against."""
+def _loop_apply(sim, X, all_loads, m):
+    """Operator by operator, executor by executor and node by node: the
+    loop form of ``ElasticutorSim._apply``, the reference its one
+    array-built, engine-wide task list is checked against."""
+    layouts = []
+    for i, name in enumerate(sim._order):
+        rt = sim.ops[name]
+        Xop = X[:, sim._gslice[name]]
+        loads = all_loads[sim._shard_off[i] : sim._shard_off[i + 1]]
+        layouts.append(_loop_rebuild(sim, rt, Xop, loads, m))
+    sim._set_tasks(
+        np.concatenate([nodes for nodes, _, _ in layouts]),
+        np.concatenate(
+            [execs + sim._gslice[name].start for (_, execs, _), name in zip(layouts, sim._order)]
+        ),
+    )
+    for (_, _, assign), name in zip(layouts, sim._order):
+        sim.ops[name].shard_assign[:] = assign
+
+
+def _loop_rebuild(sim, rt, Xop, loads, m):
+    """One operator of ``_loop_apply``; returns its new (tasks_node,
+    tasks_exec, shard_assign)."""
     y, z = rt.op.n_executors, rt.op.shards_per_executor
-    loads = sim.shard_loads_ms(rt, in_counts)
     new_nodes, new_exec = [], []
     old_to_new = np.full(rt.n_tasks, -1, dtype=np.int64)
     for j in range(y):
@@ -293,7 +331,7 @@ def _loop_rebuild(sim, rt, Xop, in_counts, m):
                 src, dst = int(nodes[tj[mv.src]]), int(nodes[tj[mv.dst]])
                 _charge_move(sim, rt, m, int(sj[mv.shard]), src, dst)
         new_assign[sj] = tj[loc]
-    rt.tasks_node, rt.tasks_exec, rt.shard_assign = nodes, execs, new_assign
+    return nodes, execs, new_assign
 
 
 class TestRebuildMatchesLoopReference:
@@ -313,7 +351,7 @@ class TestRebuildMatchesLoopReference:
     @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
     def test_same_run(self, cls, spec, theta):
         class Reference(cls):
-            _rebuild_operator = _loop_rebuild
+            _apply = _loop_apply
 
         ops = [
             OperatorSpec(name=name, cpu_cost_ms=1.0, tuple_bytes=128, n_executors=y, shards_per_executor=32)
@@ -353,6 +391,6 @@ class TestOrphanPlacement:
         Xop = np.zeros((2, 1), dtype=np.int64)
         Xop[1 - int(rt.exec_home[0]), 0] = 2  # both cores away from the old task
         m = EpochMetrics(epoch=0)
-        sim._rebuild_operator(rt, Xop, counts, m)
+        sim._apply(Xop, sim.shard_loads_ms(sim._route(counts[None, :])), m)
         assert np.bincount(rt.shard_assign, minlength=2).tolist() == [2, 2]
         assert m.n_shard_moves == 4

@@ -3,7 +3,9 @@ backpressure, latency monotonicity, determinism."""
 import numpy as np
 import pytest
 
-from repro.engine.simulator import BaseSim, EngineConfig
+from repro.engine.simulator import EngineConfig
+from repro.experiments.micro import PARADIGMS
+from repro.experiments.table2 import sse_engine_inputs
 from repro.paradigms.elasticutor import ElasticutorSim
 from repro.paradigms.static_paradigm import StaticSim
 from repro.streams.microbench import Trace, micro_trace
@@ -51,6 +53,42 @@ class TestConservation:
         throttled = sum(e.throttled for e in r.epochs)
         left = rt.queue_n.sum() + rt.resid_n.sum()
         assert offered == pytest.approx(processed + shed + throttled + left, rel=1e-6)
+
+    @pytest.mark.parametrize("paradigm", list(PARADIGMS))
+    def test_every_operator_conserves(self, paradigm):
+        """Per operator of the 12-operator SSE topology, for every
+        paradigm: tuples in = processed + queued + residual + shed; at
+        the source the spout's offer also counts the throttled tuples,
+        and downstream an operator takes in what its upstreams emitted
+        one epoch earlier."""
+        spec, topo, trace = sse_engine_inputs(n_nodes=8, n_epochs=20, seed=3)
+        seen_in, seen_proc = [], []
+
+        class Recording(PARADIGMS[paradigm]):
+            def _data_plane(self, inbox, offered, arrivals, stall, m):
+                out = super()._data_plane(inbox, offered, arrivals, stall, m)
+                seen_in.append(offered.copy())
+                seen_proc.append(np.array(out[1]))
+                return out
+
+        # tight queues, so that backpressure throttles or sheds in every paradigm
+        cfg = EngineConfig(spec=spec, warmup_epochs=2, queue_cap_ms=300.0, resid_cap_ms=300.0)
+        sim = Recording(topo, cfg)
+        frame = sim.run(trace).to_frame()
+        assert frame.throttled.sum() > 0 or frame.shed.sum() > 0
+        tin, proc = np.sum(seen_in, axis=0), np.sum(seen_proc, axis=0)
+        for i, name in enumerate(sim._order):
+            rt = sim.ops[name]
+            left = rt.queue_n.sum() + rt.resid_n.sum()
+            assert tin[i] > 0
+            assert tin[i] == pytest.approx(proc[i] + left + rt.shed_total, rel=1e-9), name
+            ups = [sim._order.index(u) for u in topo.upstreams(name)]
+            if ups:
+                emitted = sum(topo.operator(sim._order[u]).selectivity * np.sum(seen_proc[:-1], axis=0)[u] for u in ups)
+                assert tin[i] == pytest.approx(emitted, rel=1e-9), name
+        src = sim._sources
+        assert frame.offered.sum() == pytest.approx(tin[src].sum() + frame.throttled.sum(), rel=1e-9)
+        assert frame.offered.sum() == trace.total_tuples()
 
     def test_underload_processes_everything(self):
         trace = micro_trace(n_epochs=10, rate=1000, n_keys=200, omega=0, seed=0)
