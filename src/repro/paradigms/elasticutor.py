@@ -50,7 +50,6 @@ class ElasticutorSim(BaseSim):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._gslice: dict[str, slice] = {}
         self._Xg: np.ndarray | None = None
         self._lam_ewma: np.ndarray | None = None
 
@@ -78,8 +77,6 @@ class ElasticutorSim(BaseSim):
                 f"cluster has {self.spec.total_cores}"
             )
         super().setup(n_keys)
-        for i, name in enumerate(self._order):
-            self._gslice[name] = slice(int(self._exec_off[i]), int(self._exec_off[i + 1]))
         M = int(self._exec_off[-1])
         X = np.zeros((self.spec.n_nodes, M), dtype=np.int64)
         np.add.at(X, (self._exec_home, np.arange(M)), 1)

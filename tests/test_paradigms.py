@@ -276,17 +276,15 @@ def _loop_apply(sim, X, all_loads, m):
     """Operator by operator, executor by executor and node by node: the
     loop form of ``ElasticutorSim._apply``, the reference its one
     array-built, engine-wide task list is checked against."""
-    layouts = []
+    layouts, off = [], sim._exec_off
     for i, name in enumerate(sim._order):
         rt = sim.ops[name]
-        Xop = X[:, sim._gslice[name]]
+        Xop = X[:, off[i] : off[i + 1]]
         loads = all_loads[sim._shard_off[i] : sim._shard_off[i + 1]]
         layouts.append(_loop_rebuild(sim, rt, Xop, loads, m))
     sim._set_tasks(
         np.concatenate([nodes for nodes, _, _ in layouts]),
-        np.concatenate(
-            [execs + sim._gslice[name].start for (_, execs, _), name in zip(layouts, sim._order)]
-        ),
+        np.concatenate([execs + off[i] for i, (_, execs, _) in enumerate(layouts)]),
     )
     for (_, _, assign), name in zip(layouts, sim._order):
         sim.ops[name].shard_assign[:] = assign
