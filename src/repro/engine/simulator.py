@@ -311,7 +311,9 @@ class BaseSim:
         for t in range(trace.n_epochs):
             now_s = t * self.cfg.epoch_s
             m = EpochMetrics(epoch=t)
-            inbox[sources] = inbox[sources] + trace.counts[t].astype(float)
+            counts = trace.counts[t].astype(float)
+            for i in sources:
+                inbox[i] += counts
             arrivals = self._route(inbox)
             self._elasticity(t, now_s, inbox, arrivals, m)
             inbox = self._advance(now_s, inbox, arrivals, m)
@@ -339,7 +341,7 @@ class BaseSim:
                 nominal = float(inbox[i].sum())
                 m.offered += nominal
                 m.throttled += (1.0 - g) * nominal
-            inbox[sources] = inbox[sources] * g
+                inbox[i] *= g
             arrivals = self._route(inbox)
         # stop-start emission under throttling delays every tuple by
         # about half a queue-drain cycle on average
@@ -429,8 +431,10 @@ class BaseSim:
         adm_a = a * fa
         adm_wait = resid_wait * fr  # ms·tuples carried by admitted residual
         resid_wait *= 1.0 - fr
-        resid_n[:] = resid_n - adm_r + (a - adm_a)
-        queue_n[:] = queue_n + adm_r + adm_a
+        resid_n -= adm_r
+        resid_n += a - adm_a
+        queue_n += adm_r
+        queue_n += adm_a
         carried_wait = np.bincount(assign, weights=adm_wait, minlength=n_tasks)
 
         # ---- processing ----
@@ -440,7 +444,8 @@ class BaseSim:
         proc_t = np.minimum(avail_t, cap_t)
         f_t = proc_t / np.maximum(avail_t, _EPS)
         proc_s = avail * f_t[assign]
-        queue_n[:] = np.maximum(0.0, queue_n - proc_s)
+        queue_n -= proc_s
+        np.maximum(0.0, queue_n, out=queue_n)
 
         # ---- latency numerator (ms·tuples) ----
         # Two wait regimes per task: (a) carried backlog must drain
@@ -483,8 +488,8 @@ class BaseSim:
             m.shed += shed
 
         # ---- outputs per key, into the downstream operators' rows ----
-        seen = offered > 0
-        self._last_dist[seen] = inbox[seen] / offered[seen, None]
+        seen = (offered > 0)[:, None]
+        np.divide(inbox, offered[:, None], out=self._last_dist, where=seen)
         next_inbox = np.zeros_like(inbox)
         if self._feeds:
             out = np.array(processed)[:, None] * self._last_dist * self._sel

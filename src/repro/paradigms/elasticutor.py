@@ -10,15 +10,16 @@ Every epoch the control plane:
 2. maps physical cores to executors with Algorithm 1 (§4.2), minimising
    state-migration cost under the computation-locality constraint —
    the wall-clock of steps 1–2 is the *scheduling time* of Table 3;
-3. applies the new assignment to every operator through one path
-   (:meth:`ElasticutorSim._rebuild_operator`): tasks are created/removed
-   per executor and node, orphaned shards are re-homed, and the
-   intra-executor load balancer (§3.1) restores δ < θ — an operator
+3. applies the new assignment to every executor of every operator in
+   one rebuild of the engine-wide task list
+   (:meth:`ElasticutorSim._apply`): tasks are created/removed per
+   executor and node, orphaned shards are re-homed, and the
+   intra-executor load balancer (§3.1) restores δ < θ — an executor
    whose cores did not change only rebalances.  Executors with no
    orphan whose δ is already clearly below θ are screened out with
    array operations before the per-executor loop.  Every shard move is
-   charged the §3.3 protocol cost, once per operator over the ordered
-   move list: a 2 ms sync pause, plus state migration only when the
+   charged the §3.3 protocol cost, once over the move list ordered by
+   executor: a 2 ms sync pause, plus state migration only when the
    shard crosses nodes (intra-process state sharing makes same-node
    moves free).
 

@@ -43,11 +43,13 @@ class ResourceCentricSim(StaticSim):
     def _elasticity(
         self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
     ) -> None:
-        all_loads = self.shard_loads_ms(arrivals)
+        all_loads = None
         for i, name in enumerate(self._order):
             rt = self.ops[name]
             if self._stall_until.get(name, 0.0) > now_s or name in self._pending:
                 continue  # one repartitioning at a time
+            if all_loads is None:
+                all_loads = self.shard_loads_ms(arrivals)
             loads = all_loads[self._shard_off[i] : self._shard_off[i + 1]]
             tl = task_loads(loads, rt.shard_assign, rt.n_tasks)
             delta_before = imbalance(tl)
