@@ -256,7 +256,8 @@ class BaseSim:
             rt.tasks_node = task_node[sl]
             rt.tasks_exec = task_exec[sl] - self._exec_off[i]
         # remote tasks grouped by (operator, home node), each group in
-        # task order; groups of one size are summed as rows of a matrix
+        # task order; groups of one size are summed as rows of a matrix,
+        # and a row sum adds in the same order as the group's own sum()
         remote = np.flatnonzero(task_node != self._exec_home[task_exec])
         if remote.size == 0:
             self._nic = None
