@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import assign_cores
-from repro.core.scheduler import allocate_cores
+from repro.core.scheduler import T_MAX_MS, allocate_cores
 from repro.sse_app.topology import scaled_sse_topology
-from repro.substrate.cluster import ClusterSpec
+from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 
 
 def scheduler_inputs(n_nodes: int, seed: int = 0):
@@ -23,7 +23,7 @@ def scheduler_inputs(n_nodes: int, seed: int = 0):
         for j in range(op.n_executors):
             execs.append(op)
     m = len(execs)
-    mus = np.array([1000.0 / op.cpu_cost_ms for op in execs])
+    mus = np.array([CORE_CAPACITY_MS_PER_S / op.cpu_cost_ms for op in execs])
     # demand ~55 % of capacity, noisy across executors
     lams = mus * 0.55 * (0.5 + rng.random(m))
     sbytes = np.array(
@@ -44,7 +44,7 @@ def test_scheduling_round(benchmark, n_nodes):
 
     def run():
         alloc = allocate_cores(
-            float(lams.sum()), lams.tolist(), mus.tolist(), spec.total_cores, 50.0
+            float(lams.sum()), lams.tolist(), mus.tolist(), spec.total_cores, T_MAX_MS
         )
         k = np.asarray(alloc.cores)
         if k.sum() > spec.total_cores:

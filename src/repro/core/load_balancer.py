@@ -18,16 +18,16 @@ The same routine serves three callers:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+#: θ (§3.1); the engine reads it here, at call time.
 DEFAULT_THETA = 1.2
 
 
-@dataclass(frozen=True)
-class Move:
-    """One shard reassignment: shard ``shard`` from task ``src`` to ``dst``."""
+class Move(NamedTuple):
+    """Shard ``shard`` moves from task ``src`` to ``dst``; a list of moves is an (n, 3) array."""
 
     shard: int
     src: int

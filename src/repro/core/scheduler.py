@@ -24,6 +24,9 @@ from collections.abc import Sequence
 
 from repro.substrate.queueing import jackson_latency_ms, min_stable_cores, mmk_sojourn_ms
 
+#: latency target T_max, in ms, that the engine asks of the allocator.
+T_MAX_MS = 50.0
+
 
 @dataclass(frozen=True)
 class Allocation:

@@ -1,7 +1,7 @@
 """Epoch-driven cluster engine.
 
 Simulates a topology on a modeled cluster (:class:`ClusterSpec`) in
-discrete epochs (default 1 s).  All operators share one shard space:
+discrete epochs of ``EPOCH_S``.  All operators share one shard space:
 each operator's shards, and separately its tasks, occupy one contiguous
 range of engine-wide arrays, in topological order.  Within an epoch the
 operators do not feed each other (outputs reach the downstream
@@ -45,33 +45,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.load_balancer import DEFAULT_THETA
 from repro.engine.metrics import EpochMetrics, RunResult
-from repro.streams.microbench import Trace
-from repro.substrate.cluster import ClusterSpec
+from repro.streams.microbench import EPOCH_S, Trace
+from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
 _EPS = 1e-12
 
+#: per-task pending-queue bound, in ms of work (backpressure).
+QUEUE_CAP_MS = 4000.0
+#: source-side residual bound per shard, in ms of work; beyond this
+#: tuples are shed (the spout is throttled).
+RESID_CAP_MS = 8000.0
+#: parallelism of the external spout feeding the source operators —
+#: part of RC's upstream-synchronisation cost (Fig. 9a).
+SPOUT_EXECUTORS = 32
+
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tunables shared by all paradigms."""
+    """The only engine parameters that vary between callers: the cluster
+    and the epochs before measurement starts.  The others are module
+    constants, each where its fact lives (DESIGN.md §6)."""
 
     spec: ClusterSpec = field(default_factory=ClusterSpec)
-    epoch_s: float = 1.0
-    #: latency target fed to the model-based scheduler (§4.1).
-    t_max_ms: float = 50.0
-    #: per-task pending-queue bound, in ms of work (backpressure).
-    queue_cap_ms: float = 4000.0
-    #: source-side residual bound per shard, in ms of work; beyond this
-    #: tuples are shed (the spout is throttled).
-    resid_cap_ms: float = 8000.0
-    theta: float = DEFAULT_THETA
     warmup_epochs: int = 5
-    #: parallelism of the external spout feeding the source operators —
-    #: part of RC's upstream-synchronisation cost (Fig. 9a).
-    spout_executors: int = 32
 
 
 @dataclass
@@ -170,7 +168,7 @@ class BaseSim:
         for sources, upstream operators' task counts otherwise."""
         ups = self.topology.upstreams(name)
         if not ups:
-            return self.cfg.spout_executors
+            return SPOUT_EXECUTORS
         return sum(self.ops[u].n_tasks for u in ups)
 
     def setup(self, n_keys: int) -> None:
@@ -194,8 +192,8 @@ class BaseSim:
             [self.topology.link_bytes_per_tuple(name) for name in self._order], dtype=float
         )
         self._shard_cost = self._cost[self._shard_op]
-        self._resid_cap = (self.cfg.resid_cap_ms / self._cost)[self._shard_op]
-        self._core_cap = self.spec.core_capacity_per_epoch(self.cfg.epoch_s)
+        self._resid_cap = (RESID_CAP_MS / self._cost)[self._shard_op]
+        self._core_cap = CORE_CAPACITY_MS_PER_S * EPOCH_S  # CPU-ms per core and epoch
         self._no_stall = np.zeros(n_ops)
         self._last_dist = np.full((n_ops, n_keys), 1.0 / n_keys)
 
@@ -249,7 +247,7 @@ class BaseSim:
         self._task_off = np.r_[0, np.cumsum(np.bincount(self._task_op, minlength=n_ops))]
         self._shard_task_off = self._task_off[self._shard_op]
         self._task_cost = self._cost[self._task_op]
-        self._queue_cap = (self.cfg.queue_cap_ms / self._cost)[self._task_op]
+        self._queue_cap = (QUEUE_CAP_MS / self._cost)[self._task_op]
         for i, name in enumerate(self._order):
             rt = self.ops[name]
             sl = slice(self._task_off[i], self._task_off[i + 1])
@@ -300,17 +298,14 @@ class BaseSim:
     # run loop
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> RunResult:
-        if trace.epoch_s != self.cfg.epoch_s:
-            raise ValueError(
-                f"trace epochs are {trace.epoch_s} s but the engine runs "
-                f"{self.cfg.epoch_s} s epochs"
-            )
+        if trace.epoch_s != EPOCH_S:
+            raise ValueError(f"trace epochs are {trace.epoch_s} s, the engine's {EPOCH_S} s")
         self.setup(trace.n_keys)
-        result = RunResult(self.name, self.cfg.epoch_s, warmup=self.cfg.warmup_epochs)
+        result = RunResult(self.name, EPOCH_S, warmup=self.cfg.warmup_epochs)
         inbox = np.zeros((len(self._order), trace.n_keys))
         sources = self._sources
         for t in range(trace.n_epochs):
-            now_s = t * self.cfg.epoch_s
+            now_s = t * EPOCH_S
             m = EpochMetrics(epoch=t)
             counts = trace.counts[t].astype(float)
             for i in sources:
@@ -346,7 +341,7 @@ class BaseSim:
             arrivals = self._route(inbox)
         # stop-start emission under throttling delays every tuple by
         # about half a queue-drain cycle on average
-        bp_penalty_ms = (1.0 - g) * 0.5 * self.cfg.queue_cap_ms
+        bp_penalty_ms = (1.0 - g) * 0.5 * QUEUE_CAP_MS
         stall = self._repartition(now_s, m)
         offered = inbox.sum(axis=1)
         next_inbox, processed, lat = self._data_plane(inbox, offered, arrivals, stall, m)
@@ -391,8 +386,7 @@ class BaseSim:
     ) -> tuple[np.ndarray, list[float], list[float]]:
         """Advance every operator by one epoch.  Returns (next inbox,
         processed tuples per operator, latency numerator per operator)."""
-        cfg = self.cfg
-        epoch_ms = cfg.epoch_s * 1000.0
+        epoch_ms = EPOCH_S * 1000.0
         assign = self._global_assign()
         n_tasks = len(self._task_op)
         a = arrivals
@@ -411,7 +405,7 @@ class BaseSim:
             demand = np.empty(n_groups)
             for gids, tasks in by_size:
                 demand[gids] = bytes_t[tasks].sum(axis=1)
-            nic_cap = self.spec.nic_bytes_per_s * cfg.epoch_s
+            nic_cap = self.spec.nic_bytes_per_s * EPOCH_S
             over = demand > nic_cap
             if over.any():
                 factor = np.ones(n_groups)

@@ -16,7 +16,7 @@ from repro.paradigms.naive_ec import NaiveECSim
 from repro.paradigms.resource_centric import ResourceCentricSim
 from repro.paradigms.static_paradigm import StaticSim
 from repro.streams.microbench import Trace, micro_trace
-from repro.substrate.cluster import ClusterSpec
+from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
 PARADIGMS = {
@@ -56,7 +56,7 @@ def micro_topology(
 
 def micro_rate(spec: ClusterSpec, cpu_cost_ms: float = 1.0, load: float = DEFAULT_LOAD_FACTOR) -> float:
     """Offered tuples/s for a given cluster and per-tuple cost."""
-    return load * spec.total_cores * spec.core_capacity_ms_per_s / cpu_cost_ms
+    return load * spec.total_cores * CORE_CAPACITY_MS_PER_S / cpu_cost_ms
 
 
 def run_micro_cell(

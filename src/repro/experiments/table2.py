@@ -25,7 +25,7 @@ from repro.paradigms.naive_ec import NaiveECSim
 from repro.sse_app.topology import scaled_sse_topology, sse_cost_per_order_ms
 from repro.streams.microbench import Trace
 from repro.streams.sse import sse_trace
-from repro.substrate.cluster import ClusterSpec
+from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 
 PAPER_TABLE2 = pd.DataFrame(
     {
@@ -50,7 +50,7 @@ def sse_engine_inputs(
     spec = ClusterSpec(n_nodes=n_nodes)
     topo = scaled_sse_topology(n_nodes, spec.cores_per_node)
     cost = sse_cost_per_order_ms(topo)
-    rate = load * spec.total_cores * spec.core_capacity_ms_per_s / cost
+    rate = load * spec.total_cores * CORE_CAPACITY_MS_PER_S / cost
     trace = sse_trace(
         n_epochs=n_epochs,
         rate=rate,

@@ -33,12 +33,15 @@ import time
 
 import numpy as np
 
+from repro.core import load_balancer
 from repro.core import shards as shard_hash
 from repro.core.assignment import AssignmentResult, assign_cores
 from repro.core.load_balancer import rebalance
-from repro.core.scheduler import allocate_cores
+from repro.core.scheduler import T_MAX_MS, allocate_cores
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import BaseSim, OpRuntime, _add_in_order
+from repro.streams.microbench import EPOCH_S
+from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S
 from repro.substrate.topology import OperatorSpec
 
 _EPS = 1e-12
@@ -88,7 +91,7 @@ class ElasticutorSim(BaseSim):
         self._exec_z = z
         self._exec_shard0 = np.cumsum(z) - z
         self._shard_exec = np.repeat(np.arange(M), z)
-        self._mus = (self.spec.core_capacity_ms_per_s / self._cost)[self._exec_op]
+        self._mus = (CORE_CAPACITY_MS_PER_S / self._cost)[self._exec_op]
         exec_bytes = [op.shards_per_executor * op.shard_state_bytes for op in ops]
         self._sbytes = np.array(exec_bytes, dtype=float)[self._exec_op]
         self._exec_link = self._link_bytes[self._exec_op]
@@ -136,15 +139,15 @@ class ElasticutorSim(BaseSim):
     def _elasticity(
         self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
     ) -> None:
-        cfg, spec = self.cfg, self.spec
+        spec = self.spec
         kcur = self._Xg.sum(axis=0)
         demand = self._exec_sums(arrivals + self._queue_n + self._resid_n)
-        lams = demand / cfg.epoch_s
-        arr_rate = self._exec_sums(arrivals) / cfg.epoch_s
+        lams = demand / EPOCH_S
+        arr_rate = self._exec_sums(arrivals) / EPOCH_S
         dint = arr_rate * self._exec_link / np.maximum(kcur, 1)
         lam0 = 0.0
         for i in self._sources:
-            lam0 += float(inbox[i].sum()) / cfg.epoch_s
+            lam0 += float(inbox[i].sum()) / EPOCH_S
 
         # EWMA-smooth the measured arrival rates (the system's metrics
         # are windowed measurements, not raw per-second noise) so the
@@ -160,9 +163,9 @@ class ElasticutorSim(BaseSim):
         # the intra-executor balancer only guarantees max task load
         # ≤ θ·avg, so an executor with k cores sustains k·μ/θ.  Feed the
         # allocator θ-scaled demand to keep every task stable.
-        lam_eff = (lams * cfg.theta).tolist()
+        lam_eff = (lams * load_balancer.DEFAULT_THETA).tolist()
         alloc = allocate_cores(
-            max(lam0, _EPS), lam_eff, self._mus.tolist(), spec.total_cores, cfg.t_max_ms
+            max(lam0, _EPS), lam_eff, self._mus.tolist(), spec.total_cores, T_MAX_MS
         )
         k = np.asarray(alloc.cores, dtype=np.int64)
         if k.sum() > spec.total_cores:
@@ -230,7 +233,8 @@ class ElasticutorSim(BaseSim):
         # rebalance's, so an executor near θ still gets the exact test;
         # an idle one (max = mean = 0) is skipped, as rebalance stops there.
         orphaned = np.bincount(self._shard_exec[~live], minlength=M) > 0
-        busy = orphaned | ((k > 1) & (tmax > self.cfg.theta * (1.0 - 1e-9) * tmean))
+        theta = load_balancer.DEFAULT_THETA
+        busy = orphaned | ((k > 1) & (tmax > theta * (1.0 - 1e-9) * tmean))
         moved, inter = [], []  # shard and crosses-nodes flag per move, in order
         shard0, zs = self._exec_shard0, self._exec_z
         for j in np.flatnonzero(busy).tolist():
@@ -253,9 +257,9 @@ class ElasticutorSim(BaseSim):
                 old_nodes = self._task_node[old_assign[s0 + orphans]]
                 inter.append(old_nodes != nodes_arr[tj0 + loc[orphans]])
             if kj > 1:
-                loc, moves = rebalance(lj, loc, kj, self.cfg.theta)
+                loc, moves = rebalance(lj, loc, kj, theta)
                 if moves:
-                    sd = np.array([(mv.shard, mv.src, mv.dst) for mv in moves], dtype=np.int64)
+                    sd = np.array(moves, dtype=np.int64)
                     moved.append(s0 + sd[:, 0])
                     inter.append(nodes_arr[tj0 + sd[:, 1]] != nodes_arr[tj0 + sd[:, 2]])
             new_assign[sl] = tj0 + loc

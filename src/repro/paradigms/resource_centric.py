@@ -21,24 +21,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import load_balancer
 from repro.core.load_balancer import imbalance, rebalance, task_loads
 from repro.engine.metrics import EpochMetrics
+from repro.engine.simulator import _add_in_order
 from repro.paradigms.static_paradigm import StaticSim
+from repro.streams.microbench import EPOCH_S
 
 
 class ResourceCentricSim(StaticSim):
     """RC: static layout + globally-synchronised repartitioning.
 
     A repartitioning in progress is held here, not in the shared data
-    plane: per operator, the sim-time its stall ends, and the moves and
-    migrated bytes it applies when it completes."""
+    plane: per operator, the sim-time its stall ends, and the shard
+    assignment, move count and bytes it applies when it completes."""
 
     name = "resource-centric"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._stall_until: dict[str, float] = {}
-        self._pending: dict[str, tuple[list, float]] = {}
+        self._pending: dict[str, tuple[np.ndarray, int, float]] = {}
 
     def _elasticity(
         self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics
@@ -53,11 +56,10 @@ class ResourceCentricSim(StaticSim):
             loads = all_loads[self._shard_off[i] : self._shard_off[i + 1]]
             tl = task_loads(loads, rt.shard_assign, rt.n_tasks)
             delta_before = imbalance(tl)
-            if tl.sum() <= 0 or delta_before < self.cfg.theta:
+            theta = load_balancer.DEFAULT_THETA
+            if tl.sum() <= 0 or delta_before < theta:
                 continue
-            new_assign, moves = rebalance(
-                loads, rt.shard_assign, rt.n_tasks, self.cfg.theta
-            )
+            new_assign, moves = rebalance(loads, rt.shard_assign, rt.n_tasks, theta)
             delta_after = imbalance(task_loads(loads, new_assign, rt.n_tasks))
             # A repartitioning stalls the whole operator; only pay that
             # price when it actually helps.  Irreducible skew (a single
@@ -74,34 +76,29 @@ class ResourceCentricSim(StaticSim):
             sync_ms = self.spec.rc_sync_ms(self.n_upstream_executors(name))
             # drain: the slowest executor must finish its pending queue
             drain_ms = float(tl.max())  # CPU-ms on a single core ≈ wall-ms
-            mig_ms = 0.0
-            mig_bytes = 0.0
-            for mv in moves:
-                inter = rt.tasks_node[mv.src] != rt.tasks_node[mv.dst]
-                mig_ms += self.spec.rc_shard_migration_ms(
-                    rt.op.shard_state_bytes, bool(inter)
-                )
-                if inter:
-                    mig_bytes += rt.op.shard_state_bytes
+            mv = np.array(moves, dtype=np.int64)
+            inter = rt.tasks_node[mv[:, 1]] != rt.tasks_node[mv[:, 2]]
+            b = rt.op.shard_state_bytes
+            cost = [self.spec.rc_shard_migration_ms(b, x) for x in (False, True)]
+            # summed move by move, as the serial migration pays them
+            mig_ms = _add_in_order(0.0, np.where(inter, cost[1], cost[0]))
+            mig_bytes = _add_in_order(0.0, inter * float(b))
             total_ms = sync_ms + drain_ms + mig_ms
             self._stall_until[name] = now_s + total_ms / 1000.0
-            self._pending[name] = (moves, mig_bytes)
+            self._pending[name] = (new_assign, len(moves), mig_bytes)
             m.sync_ms += sync_ms
 
     def _repartition(self, now_s: float, m: EpochMetrics) -> np.ndarray:
         """The operator is stalled until its repartitioning completes;
-        the moves take effect in the epoch in which it does."""
+        the new assignment takes effect in the epoch in which it does."""
         stall = np.zeros(len(self._order))
-        epoch_s = self.cfg.epoch_s
         for i, name in enumerate(self._order):
             until = self._stall_until.get(name, 0.0)
             if until > now_s:
-                stall[i] = min(1.0, (until - now_s) / epoch_s)
-            if name in self._pending and until <= now_s + epoch_s:
-                moves, mig_bytes = self._pending.pop(name)
-                rt = self.ops[name]
-                for mv in moves:
-                    rt.shard_assign[mv.shard] = mv.dst
-                m.n_shard_moves += len(moves)
+                stall[i] = min(1.0, (until - now_s) / EPOCH_S)
+            if name in self._pending and until <= now_s + EPOCH_S:
+                new_assign, n_moves, mig_bytes = self._pending.pop(name)
+                self.ops[name].shard_assign[:] = new_assign
+                m.n_shard_moves += n_moves
                 m.migrated_bytes += mig_bytes
         return stall

@@ -25,6 +25,9 @@ from pyspark.sql import functions as F
 
 from repro.core import shards as shard_hash
 
+#: Length of one epoch, in seconds: every trace stamps it, the engine steps by it.
+EPOCH_S = 1.0
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -55,7 +58,7 @@ def zipf_weights(n_keys: int, skew: float) -> np.ndarray:
     return w / w.sum()
 
 
-def shuffle_epochs(n_epochs: int, omega: float, epoch_s: float) -> list[int]:
+def shuffle_epochs(n_epochs: int, omega: float) -> list[int]:
     """Epoch indices at which a key-frequency shuffle occurs, for
     ``omega`` shuffles per minute (ω=0 → never)."""
     if omega <= 0:
@@ -63,8 +66,7 @@ def shuffle_epochs(n_epochs: int, omega: float, epoch_s: float) -> list[int]:
     period_s = 60.0 / omega
     out, next_t = [], period_s
     for t in range(n_epochs):
-        epoch_end = (t + 1) * epoch_s
-        while next_t <= epoch_end:
+        while next_t <= (t + 1) * EPOCH_S:
             out.append(t)
             next_t += period_s
     # one shuffle per epoch at most (multiple shuffles inside one epoch
@@ -79,7 +81,6 @@ def micro_trace(
     n_keys: int = 10_000,
     skew: float = 0.5,
     omega: float = 2.0,
-    epoch_s: float = 1.0,
     tuple_bytes: int = 128,
     cpu_cost_ms: float = 1.0,
     seed: int = 7,
@@ -89,14 +90,14 @@ def micro_trace(
     rng = np.random.default_rng(seed)
     base = zipf_weights(n_keys, skew)
     perm = rng.permutation(n_keys)
-    shuffles = set(shuffle_epochs(n_epochs, omega, epoch_s))
+    shuffles = set(shuffle_epochs(n_epochs, omega))
     counts = np.zeros((n_epochs, n_keys), dtype=np.int64)
-    n_per_epoch = int(round(rate * epoch_s))
+    n_per_epoch = int(round(rate * EPOCH_S))
     for t in range(n_epochs):
         if t in shuffles:
             perm = rng.permutation(n_keys)
         counts[t] = rng.multinomial(n_per_epoch, base[perm])
-    return Trace(counts=counts, epoch_s=epoch_s, tuple_bytes=tuple_bytes, cpu_cost_ms=cpu_cost_ms)
+    return Trace(counts=counts, epoch_s=EPOCH_S, tuple_bytes=tuple_bytes, cpu_cost_ms=cpu_cost_ms)
 
 
 # ---------------------------------------------------------------------------

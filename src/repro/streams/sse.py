@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.sse_app.topology import ORDER_BYTES
-from repro.streams.microbench import Trace, zipf_weights
+from repro.streams.microbench import EPOCH_S, Trace, zipf_weights
 
 #: zipf skew of the base stock popularity.
 SKEW = 0.3
@@ -55,7 +55,7 @@ def sse_trace(
     seed: int = 17,
 ) -> Trace:
     """Per-epoch per-stock order counts with bursty, drifting popularity,
-    in 1 s epochs.
+    in epochs of :data:`~repro.streams.microbench.EPOCH_S`.
 
     ``rate`` is the *mean* aggregate orders/s; the instantaneous rate is
     modulated by a ±20 % sinusoid.  ``cpu_cost_ms`` is the transactor's
@@ -76,7 +76,7 @@ def sse_trace(
     perm = rng.permutation(n_stocks)
     hot = np.zeros(n_stocks, dtype=bool)
     counts = np.zeros((n_epochs, n_stocks), dtype=np.int64)
-    drift_period = max(1, int(round(DRIFT_EVERY_S)))
+    drift_period = max(1, int(round(DRIFT_EVERY_S / EPOCH_S)))
     for t in range(n_epochs):
         if t > 0 and t % drift_period == 0:
             k = max(2, int(DRIFT_FRAC * n_stocks))
@@ -90,8 +90,8 @@ def sse_trace(
         w = base[perm] * np.where(hot, HOT_BOOST, 1.0)
         w = w / w.sum()
         inst_rate = rate * (1.0 + 0.2 * np.sin(2 * np.pi * t / max(n_epochs, 60)))
-        counts[t] = rng.multinomial(int(round(inst_rate)), w)
-    return Trace(counts=counts, epoch_s=1.0, tuple_bytes=ORDER_BYTES, cpu_cost_ms=cpu_cost_ms)
+        counts[t] = rng.multinomial(int(round(inst_rate * EPOCH_S)), w)
+    return Trace(counts=counts, epoch_s=EPOCH_S, tuple_bytes=ORDER_BYTES, cpu_cost_ms=cpu_cost_ms)
 
 
 def sse_orders_pdf(

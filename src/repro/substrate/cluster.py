@@ -11,12 +11,23 @@ depend on:
 * the elasticity protocol costs (sync and migration) for the
   executor-centric and resource-centric paradigms.
 
-Every experiment knob lives in :class:`ClusterSpec` so tests can build
-tiny clusters and benchmarks the paper's 32x8 configuration.
+Size, NIC and Elasticutor protocol costs are :class:`ClusterSpec` fields,
+which tests vary; the costs no caller varies are module constants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+#: CPU-ms of work one core completes per wall-clock second.
+CORE_CAPACITY_MS_PER_S = 1000.0
+#: one-way network round-trip, ms (fast LAN).
+RTT_MS = 0.5
+#: RC barrier cost *per upstream executor*, paid twice per
+#: repartitioning (pause + routing-table update).  Produces the
+#: Fig. 9(a) scaling of sync time with upstream parallelism.
+RC_BARRIER_MS_PER_UPSTREAM = 5.0
+#: RC migrates shards serially under the operator-wide pause.
+RC_MIGRATION_PROTO_MS = 5.0
 
 
 @dataclass(frozen=True)
@@ -29,35 +40,21 @@ class ClusterSpec:
 
     n_nodes: int = 32
     cores_per_node: int = 8
-    #: CPU-ms of work one core completes per wall-clock second.
-    core_capacity_ms_per_s: float = 1000.0
     #: 1 Gbps Ethernet ~= 125 MB/s usable.
     nic_bytes_per_s: float = 125e6
-    #: one-way network round-trip, ms (fast LAN).
-    rtt_ms: float = 0.5
     #: Elasticutor shard-reassignment synchronisation (§5.1: ~2 ms,
     #: independent of upstream count — a purely executor-local pause).
     ec_sync_ms: float = 2.0
     #: per-shard migration protocol overhead on top of wire transfer.
     migration_proto_ms: float = 1.0
-    #: RC barrier cost *per upstream executor*, paid twice per
-    #: repartitioning (pause + routing-table update).  Produces the
-    #: Fig. 9(a) scaling of sync time with upstream parallelism.
-    rc_barrier_ms_per_upstream: float = 5.0
-    #: RC migrates shards serially under the operator-wide pause.
-    rc_migration_proto_ms: float = 5.0
 
     @property
     def total_cores(self) -> int:
         return self.n_nodes * self.cores_per_node
 
-    def core_capacity_per_epoch(self, epoch_s: float) -> float:
-        """CPU-ms of work one core can complete in one epoch."""
-        return self.core_capacity_ms_per_s * epoch_s
-
     def transfer_ms(self, nbytes: float) -> float:
         """Wall-clock ms to push ``nbytes`` through one NIC."""
-        return self.rtt_ms + 1000.0 * nbytes / self.nic_bytes_per_s
+        return RTT_MS + 1000.0 * nbytes / self.nic_bytes_per_s
 
     def ec_shard_reassign_ms(self, state_bytes: float, inter_node: bool) -> tuple[float, float]:
         """(sync_ms, migration_ms) for one Elasticutor shard reassignment.
@@ -77,11 +74,11 @@ class ClusterSpec:
         Two global barriers across all upstream executors: pause
         emission, and (after migration) routing-table update.
         """
-        return 2.0 * self.rc_barrier_ms_per_upstream * max(1, n_upstream)
+        return 2.0 * RC_BARRIER_MS_PER_UPSTREAM * max(1, n_upstream)
 
     def rc_shard_migration_ms(self, state_bytes: float, inter_node: bool) -> float:
         """Per-shard migration cost inside an RC repartitioning."""
         if not inter_node:
             return 0.0  # RC gets the same intra-process sharing (§5 setup)
-        return self.rc_migration_proto_ms + self.transfer_ms(state_bytes)
+        return RC_MIGRATION_PROTO_MS + self.transfer_ms(state_bytes)
 

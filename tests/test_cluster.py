@@ -1,7 +1,7 @@
 """Unit tests for the cluster substrate and protocol cost model."""
 import pytest
 
-from repro.substrate.cluster import ClusterSpec
+from repro.substrate.cluster import RTT_MS, ClusterSpec
 
 
 class TestClusterSpec:
@@ -12,16 +12,11 @@ class TestClusterSpec:
         assert spec.total_cores == 256
         assert spec.nic_bytes_per_s == pytest.approx(125e6)
 
-    def test_core_capacity_scales_with_epoch(self):
-        spec = ClusterSpec()
-        assert spec.core_capacity_per_epoch(1.0) == pytest.approx(1000.0)
-        assert spec.core_capacity_per_epoch(0.5) == pytest.approx(500.0)
-
     def test_transfer_time_includes_rtt(self):
         spec = ClusterSpec()
-        assert spec.transfer_ms(0) == pytest.approx(spec.rtt_ms)
+        assert spec.transfer_ms(0) == pytest.approx(RTT_MS)
         # 125 MB at 125 MB/s = 1 s + rtt
-        assert spec.transfer_ms(125e6) == pytest.approx(1000.0 + spec.rtt_ms)
+        assert spec.transfer_ms(125e6) == pytest.approx(1000.0 + RTT_MS)
 
     def test_ec_intra_node_migration_free(self):
         # Intra-process state sharing (§3.2): same-node moves migrate nothing.

@@ -10,20 +10,23 @@ metrics, bit for bit: the fused pass sums each operator's float totals
 over the operator's own slice, and each remote (operator, home node)
 group's NIC demand in task order, so it adds in the same order.
 """
+from contextlib import ExitStack
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.load_balancer import Move
+from repro.engine import simulator
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import EngineConfig
 from repro.experiments.micro import PARADIGMS
 from repro.experiments.table2 import sse_engine_inputs
 from repro.paradigms.resource_centric import ResourceCentricSim
 from repro.paradigms.static_paradigm import StaticSim
-from repro.streams.microbench import micro_trace
-from repro.substrate.cluster import ClusterSpec
+from repro.streams.microbench import EPOCH_S, micro_trace
+from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
 _EPS = 1e-12
@@ -36,7 +39,7 @@ def _throttle_reference(sim, arrivals):
         rt = sim.ops[name]
         a = np.bincount(rt.key_to_shard, weights=arrivals[name], minlength=rt.op.total_shards)
         a_t = np.bincount(rt.shard_assign, weights=a, minlength=rt.n_tasks)
-        cap_t = sim.spec.core_capacity_per_epoch(sim.cfg.epoch_s) / rt.op.cpu_cost_ms
+        cap_t = CORE_CAPACITY_MS_PER_S * EPOCH_S / rt.op.cpu_cost_ms
         hot = a_t > 0
         if hot.any():
             g = min(g, float((cap_t / np.maximum(a_t, _EPS))[hot].min()))
@@ -47,24 +50,24 @@ def _process_operator_reference(sim, i, rt, in_counts, stall_frac, m):
     """One operator-epoch of the previous data plane, on copies of the
     operator's arrays, written back in place at the end.  Returns
     (out_counts_per_key, processed, offered, latency_numerator)."""
-    cfg, op = sim.cfg, rt.op
+    op = rt.op
     queue_n, resid_n, resid_wait = rt.queue_n.copy(), rt.resid_n.copy(), rt.resid_wait.copy()
     pause_ms = rt.pause_ms.copy()
     cost = op.cpu_cost_ms
-    epoch_ms = cfg.epoch_s * 1000.0
+    epoch_ms = EPOCH_S * 1000.0
     offered = float(in_counts.sum())
     a = np.bincount(rt.key_to_shard, weights=in_counts, minlength=op.total_shards)
     assign = rt.shard_assign
     n_tasks = rt.n_tasks
 
-    cap_ms = sim.spec.core_capacity_per_epoch(cfg.epoch_s) * (1.0 - stall_frac)
+    cap_ms = CORE_CAPACITY_MS_PER_S * EPOCH_S * (1.0 - stall_frac)
     cap_t = np.full(n_tasks, cap_ms / cost)
 
     remote = rt.tasks_node != rt.exec_home[rt.tasks_exec]
     if remote.any():
         a_t = np.bincount(assign, weights=a, minlength=n_tasks)
         bytes_t = a_t * sim.topology.link_bytes_per_tuple(op.name)
-        nic_cap = sim.spec.nic_bytes_per_s * cfg.epoch_s
+        nic_cap = sim.spec.nic_bytes_per_s * EPOCH_S
         for h in np.unique(rt.exec_home[rt.tasks_exec[remote]]):
             mask = remote & (rt.exec_home[rt.tasks_exec] == h)
             demand = bytes_t[mask].sum()
@@ -72,7 +75,7 @@ def _process_operator_reference(sim, i, rt, in_counts, stall_frac, m):
                 cap_t[mask] *= nic_cap / demand
             m.remote_bytes += min(demand, nic_cap)
 
-    q_cap = cfg.queue_cap_ms / cost
+    q_cap = simulator.QUEUE_CAP_MS / cost
     q_t = np.bincount(assign, weights=queue_n, minlength=n_tasks)
     backlog_t = q_t.copy()
     room_t = np.maximum(0.0, q_cap - q_t)
@@ -110,7 +113,7 @@ def _process_operator_reference(sim, i, rt, in_counts, stall_frac, m):
     lat_num += float(carried_wait.sum())
 
     resid_wait += resid_n * epoch_ms
-    resid_cap = cfg.resid_cap_ms / cost
+    resid_cap = simulator.RESID_CAP_MS / cost
     over = np.maximum(0.0, resid_n - resid_cap)
     keep = 1.0 - over / np.maximum(resid_n, _EPS)
     resid_wait *= keep
@@ -142,7 +145,7 @@ def _advance_reference(sim, now_s, inbox, arrivals, m):
             m.offered += nominal
             m.throttled += (1.0 - g) * nominal
             arrivals[s] = arrivals[s] * g
-    bp_penalty_ms = (1.0 - g) * 0.5 * sim.cfg.queue_cap_ms
+    bp_penalty_ms = (1.0 - g) * 0.5 * simulator.QUEUE_CAP_MS
     stall = sim._repartition(now_s, m)
     next_inbox = {name: np.zeros(inbox.shape[1]) for name in order}
     lat_num = 0.0
@@ -171,10 +174,20 @@ def _with_reference(cls):
 # one epoch from a random engine state
 # ---------------------------------------------------------------------------
 
+def _caps(p):
+    """Override the engine's queue and residual caps with those drawn by
+    ``p``, for as long as the returned context is open."""
+    stack = ExitStack()
+    stack.enter_context(patch.object(simulator, "QUEUE_CAP_MS", p["queue_cap_ms"]))
+    stack.enter_context(patch.object(simulator, "RESID_CAP_MS", p["resid_cap_ms"]))
+    return stack
+
+
 def _random_sim(cls, p):
     """A sim of ``cls`` in the state drawn by ``p``: random topology with
     mixed shard counts, random task layout (remote tasks included),
-    queues, residuals, pauses and, for RC, stalls and pending moves."""
+    queues, residuals, pauses and, for RC, stalls and pending
+    repartitions.  The caps of ``p`` apply under :func:`_caps`."""
     rng = np.random.default_rng(p["seed"])
     ops, edges = [], []
     for j in range(p["n_ops"]):
@@ -190,8 +203,7 @@ def _random_sim(cls, p):
         )
         edges += [(f"op{u}", f"op{j}") for u in range(j) if rng.random() < 0.6]
     spec = ClusterSpec(n_nodes=p["n_nodes"], cores_per_node=8, nic_bytes_per_s=p["nic"])
-    cfg = EngineConfig(spec=spec, queue_cap_ms=p["queue_cap_ms"], resid_cap_ms=p["resid_cap_ms"])
-    sim = cls(Topology(ops, edges), cfg)
+    sim = cls(Topology(ops, edges), EngineConfig(spec=spec))
     sim.setup(p["n_keys"])
     n = spec.n_nodes
     nodes, execs = [], []
@@ -227,8 +239,10 @@ def _random_sim(cls, p):
                 sim._stall_until[name] = p["now_s"] + float(rng.uniform(-0.5, 2.5))
                 k = int(rng.integers(1, 4))
                 shards = rng.integers(0, rt.shard_assign.size, k)
-                moves = [Move(int(s), int(rt.shard_assign[s]), int(rng.integers(0, rt.n_tasks))) for s in shards]
-                sim._pending[name] = (moves, float(rng.uniform(0.0, 1e5)))
+                new_assign = rt.shard_assign.copy()
+                for s in shards:
+                    new_assign[s] = rng.integers(0, rt.n_tasks)
+                sim._pending[name] = (new_assign, k, float(rng.uniform(0.0, 1e5)))
     # fractional counts, as downstream operators receive them
     shape = (len(sim._order), p["n_keys"])
     inbox = rng.poisson(p["rate"], shape) * rng.uniform(0.5, 1.5, shape)
@@ -237,9 +251,10 @@ def _random_sim(cls, p):
 
 
 def _epoch(cls, p):
-    sim, inbox = _random_sim(cls, p)
-    m = EpochMetrics(epoch=0)
-    next_inbox = sim._advance(p["now_s"], inbox, sim._route(inbox), m)
+    with _caps(p):
+        sim, inbox = _random_sim(cls, p)
+        m = EpochMetrics(epoch=0)
+        next_inbox = sim._advance(p["now_s"], inbox, sim._route(inbox), m)
     return sim, m, next_inbox
 
 

@@ -4,7 +4,9 @@ elasticity is executor-local, naive-EC churns state and locality."""
 import numpy as np
 import pytest
 
+from repro.core import load_balancer
 from repro.core.load_balancer import rebalance
+from repro.engine import simulator
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import EngineConfig
 from repro.paradigms.elasticutor import ElasticutorSim, _cap_allocation
@@ -69,12 +71,12 @@ class TestResourceCentric:
         stalls = _stall_factors(ResourceCentricSim, topo(), cfg, dynamic_trace(omega=8))
         assert max(s.max() for s in stalls) > 0
 
-    def test_sync_cost_scales_with_spout_parallelism(self):
+    def test_sync_cost_scales_with_spout_parallelism(self, monkeypatch):
         t = dynamic_trace(omega=8)
         costs = {}
         for spout in (4, 64):
-            cfg = EngineConfig(spec=spec(), warmup_epochs=2, spout_executors=spout)
-            sim = ResourceCentricSim(topo(), cfg)
+            monkeypatch.setattr(simulator, "SPOUT_EXECUTORS", spout)
+            sim = ResourceCentricSim(topo(), EngineConfig(spec=spec(), warmup_epochs=2))
             r = sim.run(t)
             ops = [e.sync_ms for e in r.epochs if e.sync_ms > 0]
             costs[spout] = np.mean(ops) if ops else 0.0
@@ -182,7 +184,7 @@ class TestElasticutor:
             for j in range(rt.op.n_executors):
                 tj, sj = np.flatnonzero(rt.tasks_exec == j), np.arange(j * z, (j + 1) * z)
                 loc = np.searchsorted(tj, rt.shard_assign[sj])
-                new, moves = rebalance(loads[sj], loc, len(tj), sim.cfg.theta)
+                new, moves = rebalance(loads[sj], loc, len(tj), load_balancer.DEFAULT_THETA)
                 want[sj] = tj[new]
                 n_moves += len(moves)
             m = EpochMetrics(epoch=0)
@@ -324,7 +326,7 @@ def _loop_rebuild(sim, rt, Xop, loads, m):
             old_node = int(rt.tasks_node[rt.shard_assign[sj[s]]])
             _charge_move(sim, rt, m, int(sj[s]), old_node, int(nodes[tj[d]]))
         if len(tj) > 1:
-            loc, moves = rebalance(lj, loc, len(tj), sim.cfg.theta)
+            loc, moves = rebalance(lj, loc, len(tj), load_balancer.DEFAULT_THETA)
             for mv in moves:
                 src, dst = int(nodes[tj[mv.src]]), int(nodes[tj[mv.dst]])
                 _charge_move(sim, rt, m, int(sj[mv.shard]), src, dst)
@@ -332,22 +334,30 @@ def _loop_rebuild(sim, rt, Xop, loads, m):
     return nodes, execs, new_assign
 
 
+PAPER_COSTS = ClusterSpec(n_nodes=8, cores_per_node=8)
+FRACTIONAL_COSTS = ClusterSpec(n_nodes=8, cores_per_node=8, ec_sync_ms=2.1, migration_proto_ms=0.7)
+THETAS = (1.05, 1.2, 2.0)
+#: total shard moves of the runs below at each θ of THETAS: three θ give
+#: three totals, so the run reads the θ the test sets
+SHARD_MOVES = {
+    (ElasticutorSim, PAPER_COSTS): (337, 273, 223),
+    (ElasticutorSim, FRACTIONAL_COSTS): (339, 273, 223),
+    (NaiveECSim, PAPER_COSTS): (848, 829, 809),
+    (NaiveECSim, FRACTIONAL_COSTS): (848, 829, 809),
+}
+
+
 class TestRebuildMatchesLoopReference:
     """The screened, batched rebuild against the per-executor loop, with
     non-integer protocol costs (batched charging must still equal the
     per-move sums) and θ on both sides of the executors' δ."""
 
-    @pytest.mark.parametrize("theta", [1.05, 1.2, 2.0])
+    @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize(
-        "spec",
-        [
-            ClusterSpec(n_nodes=8, cores_per_node=8),
-            ClusterSpec(n_nodes=8, cores_per_node=8, ec_sync_ms=2.1, migration_proto_ms=0.7),
-        ],
-        ids=["paper-costs", "fractional-costs"],
+        "spec", [PAPER_COSTS, FRACTIONAL_COSTS], ids=["paper-costs", "fractional-costs"]
     )
     @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
-    def test_same_run(self, cls, spec, theta):
+    def test_same_run(self, cls, spec, theta, monkeypatch):
         class Reference(cls):
             _apply = _loop_apply
 
@@ -356,10 +366,12 @@ class TestRebuildMatchesLoopReference:
             for name, y in (("a", 8), ("b", 4))
         ]
         t = Topology(ops, [("a", "b")])
-        cfg = EngineConfig(spec=spec, warmup_epochs=0, theta=theta)
+        monkeypatch.setattr(load_balancer, "DEFAULT_THETA", theta)
+        cfg = EngineConfig(spec=spec, warmup_epochs=0)
         trace = micro_trace(n_epochs=20, rate=20_000, n_keys=2000, omega=8, skew=1.0, seed=0)
         got, ref = cls(t, cfg), Reference(t, cfg)
         r_got, r_ref = got.run(trace), ref.run(trace)
+        assert sum(e.n_shard_moves for e in r_got.epochs) == SHARD_MOVES[cls, spec][THETAS.index(theta)]
         assert sum(e.n_core_changes for e in r_ref.epochs) > 0
         assert sum(e.migrated_bytes for e in r_ref.epochs) > 0
         assert r_got.to_frame().drop(columns=["sched_ms"]).equals(

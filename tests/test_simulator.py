@@ -3,6 +3,7 @@ backpressure, latency monotonicity, determinism."""
 import numpy as np
 import pytest
 
+from repro.engine import simulator
 from repro.engine.simulator import EngineConfig
 from repro.experiments.micro import PARADIGMS
 from repro.experiments.table2 import sse_engine_inputs
@@ -32,10 +33,25 @@ def calc_topology(y=2, z=8, cost=1.0, tuple_bytes=128):
     )
 
 
-def run_static(trace, spec=None, topo=None, **cfg_kw):
+def recording(cls):
+    """A subclass of ``cls`` that records each epoch's per-operator
+    intake and processed tuples; returns (subclass, intakes, processed)."""
+    seen_in, seen_proc = [], []
+
+    class Recording(cls):
+        def _data_plane(self, inbox, offered, arrivals, stall, m):
+            out = super()._data_plane(inbox, offered, arrivals, stall, m)
+            seen_in.append(offered.copy())
+            seen_proc.append(np.array(out[1]))
+            return out
+
+    return Recording, seen_in, seen_proc
+
+
+def run_static(trace, spec=None, topo=None):
     spec = spec or tiny_spec()
     topo = topo or calc_topology()
-    cfg = EngineConfig(spec=spec, warmup_epochs=0, **cfg_kw)
+    cfg = EngineConfig(spec=spec, warmup_epochs=0)
     sim = StaticSim(topo, cfg)
     return sim, sim.run(trace)
 
@@ -55,25 +71,18 @@ class TestConservation:
         assert offered == pytest.approx(processed + shed + throttled + left, rel=1e-6)
 
     @pytest.mark.parametrize("paradigm", list(PARADIGMS))
-    def test_every_operator_conserves(self, paradigm):
+    def test_every_operator_conserves(self, paradigm, monkeypatch):
         """Per operator of the 12-operator SSE topology, for every
         paradigm: tuples in = processed + queued + residual + shed; at
         the source the spout's offer also counts the throttled tuples,
         and downstream an operator takes in what its upstreams emitted
         one epoch earlier."""
         spec, topo, trace = sse_engine_inputs(n_nodes=8, n_epochs=20, seed=3)
-        seen_in, seen_proc = [], []
-
-        class Recording(PARADIGMS[paradigm]):
-            def _data_plane(self, inbox, offered, arrivals, stall, m):
-                out = super()._data_plane(inbox, offered, arrivals, stall, m)
-                seen_in.append(offered.copy())
-                seen_proc.append(np.array(out[1]))
-                return out
-
+        Recording, seen_in, seen_proc = recording(PARADIGMS[paradigm])
         # tight queues, so that backpressure throttles or sheds in every paradigm
-        cfg = EngineConfig(spec=spec, warmup_epochs=2, queue_cap_ms=300.0, resid_cap_ms=300.0)
-        sim = Recording(topo, cfg)
+        monkeypatch.setattr(simulator, "QUEUE_CAP_MS", 300.0)
+        monkeypatch.setattr(simulator, "RESID_CAP_MS", 300.0)
+        sim = Recording(topo, EngineConfig(spec=spec, warmup_epochs=2))
         frame = sim.run(trace).to_frame()
         assert frame.throttled.sum() > 0 or frame.shed.sum() > 0
         tin, proc = np.sum(seen_in, axis=0), np.sum(seen_proc, axis=0)
@@ -106,7 +115,8 @@ class TestConservation:
             assert e.processed <= cap * 1.001
 
     def test_trace_epoch_must_match_config(self):
-        trace = micro_trace(n_epochs=3, rate=1000, n_keys=50, omega=0, seed=0, epoch_s=0.5)
+        counts = np.full((3, 50), 10, dtype=np.int64)
+        trace = Trace(counts=counts, epoch_s=0.5, tuple_bytes=128, cpu_cost_ms=1.0)
         with pytest.raises(ValueError, match="epoch"):
             run_static(trace)
 
@@ -128,12 +138,16 @@ class TestBackpressure:
         for e in r.epochs:
             assert e.throttle_g < 0.5
 
-    def test_queue_cap_respected(self):
+    def test_queue_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(simulator, "QUEUE_CAP_MS", 500.0)
         trace = micro_trace(n_epochs=15, rate=20_000, n_keys=100, omega=0, seed=0)
-        sim, _ = run_static(trace, queue_cap_ms=500.0)
+        sim, _ = run_static(trace)
         rt = sim.ops["calculator"]
         tq = np.bincount(rt.shard_assign, weights=rt.queue_n, minlength=rt.n_tasks)
         assert tq.max() <= 500.0 / 1.0 + 1e-6
+        # the cap binds: a task admits at most 500 ms of work an epoch,
+        # half its capacity, so the rest waits in the residual buffer
+        assert rt.resid_n.sum() > 0
 
 
 class TestLatencyModel:
@@ -224,16 +238,20 @@ class TestMultiOperator:
             [("src", "snk")],
         )
         trace = micro_trace(n_epochs=10, rate=1000, n_keys=50, omega=0, seed=0)
-        sim = StaticSim(topo, EngineConfig(spec=tiny_spec(), warmup_epochs=0))
+        Recording, seen_in, seen_proc = recording(StaticSim)
+        sim = Recording(topo, EngineConfig(spec=tiny_spec(), warmup_epochs=0))
         r = sim.run(trace)
         rt = sim.ops["snk"]
-        # sink saw ≈ half the source tuples (1-epoch pipeline delay)
-        total_in = sum(e.processed for e in r.epochs) * 0.5
+        src, snk = sim._order.index("src"), sim._order.index("snk")
+        # the sink takes in half of what the source processed, one epoch later
+        sink_in = np.sum(seen_in, axis=0)[snk]
+        assert sink_in == pytest.approx(0.5 * np.sum(seen_proc[:-1], axis=0)[src], rel=1e-9)
         assert rt.queue_n.sum() < 10  # drained
         # source processed ≈ offered
         assert sum(e.processed for e in r.epochs) == pytest.approx(10_000, rel=0.05)
 
-    def test_upstream_executor_count_uses_spout_for_sources(self):
-        sim = StaticSim(calc_topology(), EngineConfig(spec=tiny_spec(), spout_executors=7))
+    def test_upstream_executor_count_uses_spout_for_sources(self, monkeypatch):
+        monkeypatch.setattr(simulator, "SPOUT_EXECUTORS", 7)
+        sim = StaticSim(calc_topology(), EngineConfig(spec=tiny_spec()))
         sim.setup(10)
         assert sim.n_upstream_executors("calculator") == 7

@@ -36,20 +36,20 @@ class TestZipfWeights:
 
 class TestShuffleEpochs:
     def test_omega_zero_never(self):
-        assert shuffle_epochs(100, 0.0, 1.0) == []
+        assert shuffle_epochs(100, 0.0) == []
 
     def test_omega_two_every_30s(self):
         # ω=2 → one shuffle every 30 s (§5.1).
-        out = shuffle_epochs(90, 2.0, 1.0)
+        out = shuffle_epochs(90, 2.0)
         assert out == [29, 59, 89]
 
     def test_omega_sixteen_density(self):
-        out = shuffle_epochs(60, 16.0, 1.0)
+        out = shuffle_epochs(60, 16.0)
         # 16/min = every 3.75 s → 16 shuffle epochs in 60 s
         assert len(out) == 16
 
     def test_at_most_one_per_epoch(self):
-        out = shuffle_epochs(10, 600.0, 1.0)
+        out = shuffle_epochs(10, 600.0)
         assert out == sorted(set(out))
 
 
