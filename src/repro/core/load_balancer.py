@@ -18,6 +18,7 @@ The same routine serves three callers:
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -27,11 +28,16 @@ DEFAULT_THETA = 1.2
 
 
 class Move(NamedTuple):
-    """Shard ``shard`` moves from task ``src`` to ``dst``; a list of moves is an (n, 3) array."""
+    """One shard reassignment: shard ``shard`` from task ``src`` to ``dst``."""
 
     shard: int
     src: int
     dst: int
+
+
+def moves_array(moves: list[Move]) -> np.ndarray:
+    """``np.array(moves)`` as int64, without NumPy's slow walk of tuple subclasses."""
+    return np.fromiter(chain.from_iterable(moves), np.int64, 3 * len(moves)).reshape(-1, 3)
 
 
 def imbalance(task_loads: np.ndarray) -> float:

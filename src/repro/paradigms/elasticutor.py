@@ -36,16 +36,13 @@ import numpy as np
 from repro.core import load_balancer
 from repro.core import shards as shard_hash
 from repro.core.assignment import AssignmentResult, assign_cores
-from repro.core.load_balancer import rebalance
+from repro.core.load_balancer import moves_array, rebalance
 from repro.core.scheduler import T_MAX_MS, allocate_cores
 from repro.engine.metrics import EpochMetrics
-from repro.engine.simulator import BaseSim, OpRuntime, _add_in_order
+from repro.engine.simulator import _EPS, BaseSim, OpRuntime, _add_in_order
 from repro.streams.microbench import EPOCH_S
 from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S
 from repro.substrate.topology import OperatorSpec
-
-_EPS = 1e-12
-
 
 class ElasticutorSim(BaseSim):
     """Full Elasticutor: elastic executors + model-based scheduler."""
@@ -233,8 +230,7 @@ class ElasticutorSim(BaseSim):
         # rebalance's, so an executor near θ still gets the exact test;
         # an idle one (max = mean = 0) is skipped, as rebalance stops there.
         orphaned = np.bincount(self._shard_exec[~live], minlength=M) > 0
-        theta = load_balancer.DEFAULT_THETA
-        busy = orphaned | ((k > 1) & (tmax > theta * (1.0 - 1e-9) * tmean))
+        busy = orphaned | ((k > 1) & (tmax > load_balancer.DEFAULT_THETA * (1.0 - 1e-9) * tmean))
         moved, inter = [], []  # shard and crosses-nodes flag per move, in order
         shard0, zs = self._exec_shard0, self._exec_z
         for j in np.flatnonzero(busy).tolist():
@@ -257,9 +253,9 @@ class ElasticutorSim(BaseSim):
                 old_nodes = self._task_node[old_assign[s0 + orphans]]
                 inter.append(old_nodes != nodes_arr[tj0 + loc[orphans]])
             if kj > 1:
-                loc, moves = rebalance(lj, loc, kj, theta)
+                loc, moves = rebalance(lj, loc, kj, load_balancer.DEFAULT_THETA)
                 if moves:
-                    sd = np.array(moves, dtype=np.int64)
+                    sd = moves_array(moves)
                     moved.append(s0 + sd[:, 0])
                     inter.append(nodes_arr[tj0 + sd[:, 1]] != nodes_arr[tj0 + sd[:, 2]])
             new_assign[sl] = tj0 + loc

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import load_balancer
-from repro.core.load_balancer import imbalance, rebalance, task_loads
+from repro.core.load_balancer import imbalance, moves_array, rebalance, task_loads
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import _add_in_order
 from repro.paradigms.static_paradigm import StaticSim
@@ -76,7 +76,7 @@ class ResourceCentricSim(StaticSim):
             sync_ms = self.spec.rc_sync_ms(self.n_upstream_executors(name))
             # drain: the slowest executor must finish its pending queue
             drain_ms = float(tl.max())  # CPU-ms on a single core ≈ wall-ms
-            mv = np.array(moves, dtype=np.int64)
+            mv = moves_array(moves)
             inter = rt.tasks_node[mv[:, 1]] != rt.tasks_node[mv[:, 2]]
             b = rt.op.shard_state_bytes
             cost = [self.spec.rc_shard_migration_ms(b, x) for x in (False, True)]
