@@ -10,7 +10,6 @@ metrics, bit for bit: the fused pass sums each operator's float totals
 over the operator's own slice, and each remote (operator, home node)
 group's NIC demand in task order, so it adds in the same order.
 """
-from contextlib import ExitStack
 from unittest.mock import patch
 
 import numpy as np
@@ -177,10 +176,7 @@ def _with_reference(cls):
 def _caps(p):
     """Override the engine's queue and residual caps with those drawn by
     ``p``, for as long as the returned context is open."""
-    stack = ExitStack()
-    stack.enter_context(patch.object(simulator, "QUEUE_CAP_MS", p["queue_cap_ms"]))
-    stack.enter_context(patch.object(simulator, "RESID_CAP_MS", p["resid_cap_ms"]))
-    return stack
+    return patch.multiple(simulator, QUEUE_CAP_MS=p["queue_cap_ms"], RESID_CAP_MS=p["resid_cap_ms"])
 
 
 def _random_sim(cls, p):
