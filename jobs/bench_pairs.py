@@ -9,7 +9,10 @@ per-layer metrics of ``BENCHMARK.json`` that the workload reports.  The
 result file holds, per workload, the pair count, the failed-check counts
 and, for every metric, each side's median, the change/base ratio of the
 medians, the number of pairs the change wins, the interquartile range of
-the base's runs and every run's value.
+the base's runs and every run's value.  Each end-to-end metric also
+states whether the change's median is within its ``bound`` of the
+base's, and the top-level ``outside_bound`` lists every
+``workload/metric`` that is not.
 
 Usage (from anywhere)::
 
@@ -76,18 +79,29 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def _summary(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """Per metric of ``better`` that every run reports: each side's
-    median, the change/base ratio of the medians, the pairs the change
-    wins (ties count for neither side), the base's interquartile range,
-    and every run's value."""
+def _within_bound(base: float, change: float, better: str, bound: float) -> bool:
+    """Whether ``change`` is no worse than ``base`` by more than the
+    relative ``bound``, in the metric's ``better`` direction."""
+    if better == "higher":
+        return change >= base * (1.0 - bound)
+    return change <= base * (1.0 + bound)
+
+
+def _summary(runs: dict[str, list[dict]], declared: dict[str, dict]) -> dict:
+    """Per metric of ``declared`` (its ``BENCHMARK.json`` entries by
+    name) that every run reports: each side's median, the change/base
+    ratio of the medians, the pairs the change wins (ties count for
+    neither side), the base's interquartile range, every run's value
+    and, for a metric with a ``bound``, whether the change's median is
+    within it."""
     every = runs["base"] + runs["change"]
-    names = [n for n in better if all(n in r["metrics"] for r in every)]
+    names = [n for n in declared if all(n in r["metrics"] for r in every)]
     metrics = {}
     for n in names:
+        better = declared[n]["better"]
         b = [r["metrics"][n]["value"] for r in runs["base"]]
         c = [r["metrics"][n]["value"] for r in runs["change"]]
-        sign = 1.0 if better[n] == "higher" else -1.0
+        sign = 1.0 if better == "higher" else -1.0
         q1, mb, q3 = _quartiles(b)
         mc = statistics.median(c)
         metrics[n] = {
@@ -99,12 +113,21 @@ def _summary(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
             "base_runs": b,
             "change_runs": c,
         }
+        if "bound" in declared[n]:
+            metrics[n]["within_bound"] = _within_bound(mb, mc, better, declared[n]["bound"])
     return {
         "pairs": len(runs["base"]),
         "metrics": metrics,
         "failed": {s: [r["failed"] for r in rs] for s, rs in runs.items()},
         "attempted": {s: [r["attempted"] for r in rs] for s, rs in runs.items()},
     }
+
+
+def _outside_bound(workload: str, summary: dict) -> list[str]:
+    """``workload/metric`` for each metric of ``summary`` outside its bound."""
+    return [
+        f"{workload}/{n}" for n, m in summary["metrics"].items() if not m.get("within_bound", True)
+    ]
 
 
 def _git_head(checkout: Path) -> str | None:
@@ -124,23 +147,23 @@ def main(argv=None) -> int:
 
     spec = json.loads((change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    per_layer = {m["name"]: m["better"] for m in spec["per_layer"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
+    per_layer = {m["name"]: m for m in spec["per_layer"]}
     result = {
         "base": _git_head(base),
         "change": _git_head(change),
         "seconds": seconds,
         "first_seed": FIRST_SEED,
         "cpus": os.cpu_count(),
+        "outside_bound": [],
         "workloads": {},
     }
     for w in WORKLOADS:
         runs = _pairs(base, change, w, PAIRS, seconds, 0)
         traced = _pairs(base, change, w, TRACED_PAIRS, seconds, 1)
-        result["workloads"][w] = {
-            "end_to_end": _summary(runs, end_to_end),
-            "traced": _summary(traced, per_layer),
-        }
+        e2e = _summary(runs, end_to_end)
+        result["outside_bound"] += _outside_bound(w, e2e)
+        result["workloads"][w] = {"end_to_end": e2e, "traced": _summary(traced, per_layer)}
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     return 0

@@ -25,8 +25,8 @@ Execution is cooperatively scheduled: tests call :meth:`step` /
 :meth:`run_until_idle` to advance tasks, which lets them interleave
 reassignments with in-flight tuples and check the §3.3 guarantees
 (per-key FIFO order, no lost state updates).  Protocol costs (sync ms,
-migrated bytes) are accounted with the same :class:`ClusterSpec` cost
-model the cluster engine uses.
+migrated bytes) are charged by the cost model of
+:mod:`repro.substrate.cluster`, the one the cluster engine charges.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 from repro.core import shards as shard_hash
 from repro.core.state import StateStore
-from repro.substrate.cluster import ClusterSpec
+from repro.substrate import cluster
 from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 
 #: sentinel payload marking a labeling tuple in a pending queue.
@@ -104,7 +104,6 @@ class ElasticExecutor:
         n_shards: int,
         local_node: int,
         fn: Callable[[int, Any, StateAccessor], Any],
-        spec: ClusterSpec | None = None,
         shard_state_bytes: int = DEFAULT_SHARD_STATE_BYTES,
     ) -> None:
         if n_shards <= 0:
@@ -113,7 +112,6 @@ class ElasticExecutor:
         self.n_shards = n_shards
         self.local_node = local_node
         self.fn = fn
-        self.spec = spec or ClusterSpec()
         self.shard_state_bytes = shard_state_bytes
         # one process (and shared state store) per node hosting tasks;
         # the local node's process is the main process.
@@ -229,7 +227,7 @@ class ElasticExecutor:
         # pause routing for the shard, then label the source queue
         self._pending_reassign[shard] = _Reassignment(shard, src_task, dst_task)
         self._task(src_task).pending.append((shard, _LABEL))
-        self.sync_ms += self.spec.ec_sync_ms
+        self.sync_ms += cluster.EC_SYNC_MS
         self.n_reassignments += 1
 
     def _complete_reassignment(self, shard: int) -> None:
@@ -242,7 +240,7 @@ class ElasticExecutor:
                 state = src_store.export_shard(shard)
                 self._stores[dst_node].import_shard(state)
                 self.migrated_bytes += state.nominal_bytes
-                _, migration_ms = self.spec.ec_shard_reassign_ms(state.nominal_bytes, True)
+                _, migration_ms = cluster.ec_shard_reassign_ms(state.nominal_bytes, True)
                 self.migration_ms += migration_ms
         # routing-table update, then resume: flush buffered tuples in
         # arrival order to the destination task.

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
+from repro.streams.microbench import EPOCH_S
+
 
 @dataclass
 class EpochMetrics:
@@ -41,7 +43,6 @@ class RunResult:
     """
 
     paradigm: str
-    epoch_s: float
     epochs: list[EpochMetrics] = field(default_factory=list)
     warmup: int = 5
 
@@ -52,7 +53,7 @@ class RunResult:
 
     @property
     def duration_s(self) -> float:
-        return len(self._steady()) * self.epoch_s
+        return len(self._steady()) * EPOCH_S
 
     def throughput_tps(self) -> float:
         d = self.duration_s

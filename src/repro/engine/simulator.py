@@ -1,7 +1,8 @@
 """Epoch-driven cluster engine.
 
-Simulates a topology on a modeled cluster (:class:`ClusterSpec`) in
-discrete epochs of ``EPOCH_S``.  All operators share one shard space:
+Simulates a topology on a modeled cluster (its shape a
+:class:`ClusterSpec`, its costs those of :mod:`repro.substrate.cluster`)
+in discrete epochs of ``EPOCH_S``.  All operators share one shard space:
 each operator's shards, and separately its tasks, occupy one contiguous
 range of engine-wide arrays, in topological order.  Within an epoch the
 operators do not feed each other (outputs reach the downstream
@@ -47,6 +48,7 @@ import numpy as np
 
 from repro.engine.metrics import EpochMetrics, RunResult
 from repro.streams.microbench import EPOCH_S, Trace
+from repro.substrate import cluster
 from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
@@ -301,7 +303,7 @@ class BaseSim:
         if trace.epoch_s != EPOCH_S:
             raise ValueError(f"trace epochs are {trace.epoch_s} s, the engine's {EPOCH_S} s")
         self.setup(trace.n_keys)
-        result = RunResult(self.name, EPOCH_S, warmup=self.cfg.warmup_epochs)
+        result = RunResult(self.name, warmup=self.cfg.warmup_epochs)
         inbox = np.zeros((len(self._order), trace.n_keys))
         sources = self._sources
         for t in range(trace.n_epochs):
@@ -405,7 +407,7 @@ class BaseSim:
             demand = np.empty(n_groups)
             for gids, tasks in by_size:
                 demand[gids] = bytes_t[tasks].sum(axis=1)
-            nic_cap = self.spec.nic_bytes_per_s * EPOCH_S
+            nic_cap = cluster.NIC_BYTES_PER_S * EPOCH_S
             over = demand > nic_cap
             if over.any():
                 factor = np.ones(n_groups)

@@ -1,8 +1,8 @@
 """Shard-reassignment cost experiments (Fig. 8 / Fig. 9 shape).
 
 Three views of the §3.3 protocol cost, combining the analytic cost
-model (the same :class:`ClusterSpec` methods the engine charges) with
-*measured* behaviour of the tuple-level elastic executor:
+model (the same :mod:`repro.substrate.cluster` functions the engine
+charges) with *measured* behaviour of the tuple-level elastic executor:
 
 * ``reassignment_breakdown`` — Fig. 8: per-shard reassignment time,
   intra- vs inter-node, split into synchronisation and state-migration
@@ -19,17 +19,14 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.core.elastic_executor import ElasticExecutor
-from repro.substrate.cluster import ClusterSpec
+from repro.substrate import cluster
 from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 
 
-def measured_ec_sync_ms(spec: ClusterSpec | None = None) -> float:
+def measured_ec_sync_ms() -> float:
     """Run a real labeling-tuple reassignment with in-flight tuples on
     the tuple-level executor and report the charged sync time."""
-    spec = spec or ClusterSpec()
-    ex = ElasticExecutor(
-        0, n_shards=8, local_node=0, fn=lambda k, v, st: v, spec=spec
-    )
+    ex = ElasticExecutor(0, n_shards=8, local_node=0, fn=lambda k, v, st: v)
     t1 = ex.add_core(0)
     for i in range(50):  # tuples in flight when the move starts
         ex.receive(i, i)
@@ -42,11 +39,10 @@ def measured_ec_sync_ms(spec: ClusterSpec | None = None) -> float:
 def reassignment_breakdown() -> pd.DataFrame:
     """Fig. 8: per-shard reassignment time (ms), sync vs migration, for
     the default shard state."""
-    spec = ClusterSpec()
     state_bytes = DEFAULT_SHARD_STATE_BYTES
     rows = []
     for scope, inter in (("intra-node", False), ("inter-node", True)):
-        ec_sync, ec_mig = spec.ec_shard_reassign_ms(state_bytes, inter)
+        ec_sync, ec_mig = cluster.ec_shard_reassign_ms(state_bytes, inter)
         rows.append(
             {
                 "approach": "elasticutor",
@@ -58,8 +54,8 @@ def reassignment_breakdown() -> pd.DataFrame:
         )
         # RC amortises one global barrier (64 upstream executors) over
         # the 100 shards one repartitioning moves
-        rc_sync = spec.rc_sync_ms(64) / 100
-        rc_mig = spec.rc_shard_migration_ms(state_bytes, inter)
+        rc_sync = cluster.rc_sync_ms(64) / 100
+        rc_mig = cluster.rc_shard_migration_ms(state_bytes, inter)
         rows.append(
             {
                 "approach": "resource-centric",
@@ -79,13 +75,12 @@ def sync_vs_upstream(upstream_counts=(1, 4, 16, 64, 256)) -> pd.DataFrame:
     independent of upstream parallelism — no upstream ever participates
     in the protocol); the RC number is the barrier cost model.
     """
-    spec = ClusterSpec()
-    ec = measured_ec_sync_ms(spec)
+    ec = measured_ec_sync_ms()
     return pd.DataFrame(
         {
             "n_upstream": list(upstream_counts),
             "elasticutor_ms": [ec] * len(upstream_counts),
-            "resource_centric_ms": [spec.rc_sync_ms(u) for u in upstream_counts],
+            "resource_centric_ms": [cluster.rc_sync_ms(u) for u in upstream_counts],
         }
     )
 
@@ -94,18 +89,17 @@ def migration_vs_state(
     state_sizes=(DEFAULT_SHARD_STATE_BYTES, 1 << 20, 1 << 23, 1 << 25)
 ) -> pd.DataFrame:
     """Fig. 9(b): migration time vs shard state size, intra/inter-node."""
-    spec = ClusterSpec()
     rows = []
     for s in state_sizes:
-        _, ec_inter = spec.ec_shard_reassign_ms(s, True)
-        _, ec_intra = spec.ec_shard_reassign_ms(s, False)
+        _, ec_inter = cluster.ec_shard_reassign_ms(s, True)
+        _, ec_intra = cluster.ec_shard_reassign_ms(s, False)
         rows.append(
             {
                 "state_bytes": s,
                 "ec_intra_ms": ec_intra,
                 "ec_inter_ms": ec_inter,
-                "rc_intra_ms": spec.rc_shard_migration_ms(s, False),
-                "rc_inter_ms": spec.rc_shard_migration_ms(s, True),
+                "rc_intra_ms": cluster.rc_shard_migration_ms(s, False),
+                "rc_inter_ms": cluster.rc_shard_migration_ms(s, True),
             }
         )
     return pd.DataFrame(rows)

@@ -41,6 +41,7 @@ from repro.core.scheduler import T_MAX_MS, allocate_cores
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import _EPS, BaseSim, OpRuntime, _add_in_order
 from repro.streams.microbench import EPOCH_S
+from repro.substrate import cluster
 from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S
 from repro.substrate.topology import OperatorSpec
 
@@ -106,7 +107,7 @@ class ElasticutorSim(BaseSim):
         for op in ops:
             row = []
             for inter in (False, True):
-                sync, mig = self.spec.ec_shard_reassign_ms(op.shard_state_bytes, inter)
+                sync, mig = cluster.ec_shard_reassign_ms(op.shard_state_bytes, inter)
                 row += [sync, sync + mig]
             charges.append(row)
         self._move_charge = np.array(charges)

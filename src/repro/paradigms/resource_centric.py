@@ -27,6 +27,7 @@ from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import _add_in_order
 from repro.paradigms.static_paradigm import StaticSim
 from repro.streams.microbench import EPOCH_S
+from repro.substrate import cluster
 
 
 class ResourceCentricSim(StaticSim):
@@ -73,13 +74,13 @@ class ResourceCentricSim(StaticSim):
                 rt.shard_assign[:] = new_assign
                 continue
             # --- protocol cost (all serial, operator stalled throughout) ---
-            sync_ms = self.spec.rc_sync_ms(self.n_upstream_executors(name))
+            sync_ms = cluster.rc_sync_ms(self.n_upstream_executors(name))
             # drain: the slowest executor must finish its pending queue
             drain_ms = float(tl.max())  # CPU-ms on a single core ≈ wall-ms
             mv = moves_array(moves)
             inter = rt.tasks_node[mv[:, 1]] != rt.tasks_node[mv[:, 2]]
             b = rt.op.shard_state_bytes
-            cost = [self.spec.rc_shard_migration_ms(b, x) for x in (False, True)]
+            cost = [cluster.rc_shard_migration_ms(b, x) for x in (False, True)]
             # summed move by move, as the serial migration pays them
             mig_ms = _add_in_order(0.0, np.where(inter, cost[1], cost[0]))
             mig_bytes = _add_in_order(0.0, inter * float(b))

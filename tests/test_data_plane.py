@@ -10,6 +10,7 @@ metrics, bit for bit: the fused pass sums each operator's float totals
 over the operator's own slice, and each remote (operator, home node)
 group's NIC demand in task order, so it adds in the same order.
 """
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.experiments.table2 import sse_engine_inputs
 from repro.paradigms.resource_centric import ResourceCentricSim
 from repro.paradigms.static_paradigm import StaticSim
 from repro.streams.microbench import EPOCH_S, micro_trace
+from repro.substrate import cluster
 from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
@@ -66,7 +68,7 @@ def _process_operator_reference(sim, i, rt, in_counts, stall_frac, m):
     if remote.any():
         a_t = np.bincount(assign, weights=a, minlength=n_tasks)
         bytes_t = a_t * sim.topology.link_bytes_per_tuple(op.name)
-        nic_cap = sim.spec.nic_bytes_per_s * EPOCH_S
+        nic_cap = cluster.NIC_BYTES_PER_S * EPOCH_S
         for h in np.unique(rt.exec_home[rt.tasks_exec[remote]]):
             mask = remote & (rt.exec_home[rt.tasks_exec] == h)
             demand = bytes_t[mask].sum()
@@ -173,10 +175,16 @@ def _with_reference(cls):
 # one epoch from a random engine state
 # ---------------------------------------------------------------------------
 
+@contextmanager
 def _caps(p):
-    """Override the engine's queue and residual caps with those drawn by
-    ``p``, for as long as the returned context is open."""
-    return patch.multiple(simulator, QUEUE_CAP_MS=p["queue_cap_ms"], RESID_CAP_MS=p["resid_cap_ms"])
+    """Override the engine's queue and residual caps and the NIC
+    bandwidth with those drawn by ``p``, for as long as the context is
+    open."""
+    with (
+        patch.multiple(simulator, QUEUE_CAP_MS=p["queue_cap_ms"], RESID_CAP_MS=p["resid_cap_ms"]),
+        patch.object(cluster, "NIC_BYTES_PER_S", p["nic"]),
+    ):
+        yield
 
 
 def _random_sim(cls, p):
@@ -198,7 +206,7 @@ def _random_sim(cls, p):
             )
         )
         edges += [(f"op{u}", f"op{j}") for u in range(j) if rng.random() < 0.6]
-    spec = ClusterSpec(n_nodes=p["n_nodes"], cores_per_node=8, nic_bytes_per_s=p["nic"])
+    spec = ClusterSpec(n_nodes=p["n_nodes"], cores_per_node=8)
     sim = cls(Topology(ops, edges), EngineConfig(spec=spec))
     sim.setup(p["n_keys"])
     n = spec.n_nodes
@@ -312,9 +320,11 @@ class TestFusedEpochMatchesLoop:
         a_t = np.bincount(sim._global_assign(), weights=sim._route(inbox), minlength=crowd.size)
         got, m = _assert_same_epoch(ResourceCentricSim, p)
         assert m.throttle_g < 1.0
-        # the crowded group's NIC demand, even throttled, is over the cap
+        # the crowded group's NIC demand, even throttled, is over the cap,
+        # and the cap is what crossed the NICs
         link = sim.topology.link_bytes_per_tuple(first)
         assert m.throttle_g * a_t[crowd].sum() * link > 2 * p["nic"]
+        assert m.remote_bytes < m.throttle_g * a_t[crowd].sum() * link
         assert m.shed > 0
         assert m.n_shard_moves > 0
 
@@ -330,18 +340,24 @@ def _mixed_inputs():
         OperatorSpec("c", cpu_cost_ms=0.2, tuple_bytes=96, n_executors=2, shards_per_executor=8),
     ]
     topo = Topology(ops, [("a", "b"), ("a", "c"), ("b", "c")])
-    spec = ClusterSpec(n_nodes=6, cores_per_node=6, nic_bytes_per_s=2e6, ec_sync_ms=2.1, migration_proto_ms=0.7)
+    spec = ClusterSpec(n_nodes=6, cores_per_node=6)
     trace = micro_trace(n_epochs=20, rate=24_000, n_keys=800, omega=8, skew=1.0, seed=2)
     return spec, topo, trace
 
 
+#: the mixed run's costs: a narrow NIC and fractional protocol costs
+MIXED_COSTS = {"NIC_BYTES_PER_S": 2e6, "EC_SYNC_MS": 2.1, "MIGRATION_PROTO_MS": 0.7}
+
+
 @pytest.mark.parametrize("inputs", ["mixed", "sse"])
 @pytest.mark.parametrize("paradigm", list(PARADIGMS))
-def test_runs_match_reference(paradigm, inputs):
+def test_runs_match_reference(paradigm, inputs, monkeypatch):
     if inputs == "sse":
         spec, topo, trace = sse_engine_inputs(n_nodes=8, n_epochs=15, seed=5)
     else:
         spec, topo, trace = _mixed_inputs()
+        for name, value in MIXED_COSTS.items():
+            monkeypatch.setattr(cluster, name, value)
     cfg = EngineConfig(spec=spec, warmup_epochs=2)
     cls = PARADIGMS[paradigm]
     got, ref = cls(topo, cfg), _with_reference(cls)(topo, cfg)

@@ -1,13 +1,21 @@
 """Tests for the tuple-level elastic executor (§3.2–§3.3): routing,
 scaling, and the labeling-tuple consistent-reassignment protocol."""
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import shards as shard_hash
 from repro.core.elastic_executor import ElasticExecutor
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import EngineConfig
+from repro.experiments.micro import micro_topology
 from repro.paradigms.elasticutor import ElasticutorSim
+from repro.streams.microbench import micro_trace
+from repro.substrate import cluster
 from repro.substrate.cluster import ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
@@ -20,9 +28,7 @@ def counter_fn(key, value, state):
 
 
 def make_exec(n_shards=8, fn=counter_fn, **kw):
-    return ElasticExecutor(
-        0, n_shards=n_shards, local_node=0, fn=fn, spec=ClusterSpec(), **kw
-    )
+    return ElasticExecutor(0, n_shards=n_shards, local_node=0, fn=fn, **kw)
 
 
 class TestBasicProcessing:
@@ -218,7 +224,7 @@ class TestConsistentReassignment:
         ex.run_until_idle()
         ex.reassign_shard(1, t1)
         ex.run_until_idle()
-        assert ex.sync_ms == pytest.approx(2 * ex.spec.ec_sync_ms)
+        assert ex.sync_ms == pytest.approx(2 * cluster.EC_SYNC_MS)
         assert ex.n_reassignments == 2
 
     def test_reassign_to_same_task_noop(self):
@@ -312,16 +318,22 @@ class TestConsistentReassignment:
 
 class TestCostMatchesEngine:
     """The executor and the engine charge a shard move from one cost
-    model, :meth:`ClusterSpec.ec_shard_reassign_ms`.  Fractional costs
-    and an odd state size make any second formula show."""
+    model, :func:`repro.substrate.cluster.ec_shard_reassign_ms`.
+    Fractional costs, set once for both, and an odd state size make any
+    second formula show."""
 
-    SPEC = ClusterSpec(n_nodes=2, cores_per_node=2, ec_sync_ms=2.1, migration_proto_ms=0.7)
+    SPEC = ClusterSpec(n_nodes=2, cores_per_node=2)
     NBYTES = 12_345
+    SYNC_MS = 2.1
+
+    @pytest.fixture(autouse=True)
+    def fractional_costs(self, monkeypatch):
+        monkeypatch.setattr(cluster, "EC_SYNC_MS", self.SYNC_MS)
+        monkeypatch.setattr(cluster, "MIGRATION_PROTO_MS", 0.7)
 
     def executor_move(self, dst_node):
         ex = ElasticExecutor(
-            0, n_shards=1, local_node=0, fn=counter_fn, spec=self.SPEC,
-            shard_state_bytes=self.NBYTES,
+            0, n_shards=1, local_node=0, fn=counter_fn, shard_state_bytes=self.NBYTES
         )
         ex.receive(1, "a")
         ex.run_until_idle()
@@ -343,7 +355,7 @@ class TestCostMatchesEngine:
 
     def test_inter_node_move(self):
         ex = self.executor_move(1)
-        assert (ex.sync_ms, ex.migration_ms) == self.SPEC.ec_shard_reassign_ms(self.NBYTES, True)
+        assert (ex.sync_ms, ex.migration_ms) == cluster.ec_shard_reassign_ms(self.NBYTES, True)
         assert ex.migrated_bytes == self.NBYTES
         rt, m = self.engine_move(True)
         assert (m.sync_ms, m.migrated_bytes) == (ex.sync_ms, ex.migrated_bytes)
@@ -351,8 +363,186 @@ class TestCostMatchesEngine:
 
     def test_intra_node_move(self):
         ex = self.executor_move(0)
-        assert (ex.sync_ms, ex.migration_ms) == (self.SPEC.ec_sync_ms, 0.0)
+        assert (ex.sync_ms, ex.migration_ms) == (self.SYNC_MS, 0.0)
         assert ex.migrated_bytes == 0
         rt, m = self.engine_move(False)
         assert (m.sync_ms, m.migrated_bytes) == (ex.sync_ms, ex.migrated_bytes)
         assert rt.pause_ms[0] == ex.sync_ms + ex.migration_ms
+
+
+def key_of_shard(shard, n_shards):
+    """The smallest key that hashes to ``shard``."""
+    return next(k for k in range(100 * n_shards) if shard_hash.key_to_shard(k, n_shards) == shard)
+
+
+class RecordingElasticutor(ElasticutorSim):
+    """Keeps, per call of ``_apply``, the node of each shard's task
+    before and after it, and the move lists it charges."""
+
+    def setup(self, n_keys):
+        super().setup(n_keys)
+        self.applied = []
+
+    def _apply(self, X, loads, m):
+        before = self._task_node[self._global_assign()]
+        charged = []
+
+        def record(m, shards, inter):
+            charged.append((shards, inter))
+            ElasticutorSim._charge_moves(self, m, shards, inter)
+
+        self._charge_moves = record
+        super()._apply(X, loads, m)
+        del self._charge_moves
+        self.applied.append((before, self._task_node[self._global_assign()], charged))
+
+
+class TestEngineMoveListReplay:
+    """A whole move list of the engine, replayed through the tuple-level
+    executor, costs what the engine charges for it.  The fractional
+    costs are set once, in ``repro.substrate.cluster``, for both layers."""
+
+    def engine_moves(self):
+        """The largest single-executor move list of a micro run that has
+        both intra- and inter-node moves and moves each shard once, as
+        (sim, executor, shards, inter, src nodes, dst nodes)."""
+        topo = micro_topology(n_executors=4, shards_per_executor=16)
+        cfg = EngineConfig(spec=ClusterSpec(n_nodes=4, cores_per_node=4), warmup_epochs=0)
+        sim = RecordingElasticutor(topo, cfg)
+        sim.run(micro_trace(n_epochs=25, rate=12_000, n_keys=500, omega=8, seed=0))
+        best = None
+        for before, after, charged in sim.applied:
+            for shards, inter in charged:
+                for j in np.unique(sim._shard_exec[shards]).tolist():
+                    mine = sim._shard_exec[shards] == j
+                    s, f = shards[mine], inter[mine]
+                    if len(set(s.tolist())) == s.size and 0 < f.sum() < f.size:
+                        if best is None or s.size > best[2].size:
+                            best = (sim, j, s, f, before[s], after[s])
+        assert best is not None
+        return best
+
+    def test_replayed_moves_cost_what_the_engine_charges(self):
+        with patch.multiple(cluster, EC_SYNC_MS=2.1, MIGRATION_PROTO_MS=0.7):
+            sim, j, shards, inter, src, dst = self.engine_moves()
+            assert np.array_equal(src != dst, inter)
+            engine = EpochMetrics(epoch=0)
+            sim._charge_moves(engine, shards, inter)
+
+            z = int(sim._exec_z[j])
+            local = (shards - sim._exec_shard0[j]).tolist()
+            ex = ElasticExecutor(
+                j, n_shards=z, local_node=int(sim._exec_home[j]), fn=counter_fn,
+                shard_state_bytes=int(sim._state_bytes[sim._shard_op[shards[0]]]),
+            )
+            # each shard on a task of its source node, with state there
+            task_on = {ex.local_node: ex.tasks[0].task_id}
+            for s, node in zip(local, src.tolist()):
+                if node not in task_on:
+                    task_on[node] = ex.add_core(node)
+                ex.reassign_shard(s, task_on[node])
+                ex.receive(key_of_shard(s, z), "x")
+            ex.run_until_idle()
+            ex.sync_ms, ex.migrated_bytes = 0.0, 0  # charge only the replay
+            n_before = ex.n_reassignments
+            for s, node in zip(local, dst.tolist()):
+                ex.reassign_shard(s, ex.add_core(node))
+            ex.run_until_idle()
+        assert shards.size >= 4
+        assert ex.n_reassignments - n_before == shards.size
+        assert (ex.sync_ms, ex.migrated_bytes) == (engine.sync_ms, engine.migrated_bytes)
+        assert ex.sync_ms == pytest.approx(2.1 * shards.size)
+        assert ex.migrated_bytes == inter.sum() * ex.shard_state_bytes
+
+
+class ExecutorMachine(RuleBasedStateMachine):
+    """Any interleaving of the executor's public operations, with the
+    §3.3 guarantees checked after every step.  A ``ValueError`` the API
+    documents (last core, shard already moving, draining destination)
+    is a legal outcome."""
+
+    N_SHARDS, N_NODES = 4, 3
+
+    def __init__(self):
+        super().__init__()
+        self.ex = ElasticExecutor(0, n_shards=self.N_SHARDS, local_node=0, fn=counter_fn)
+        for node in range(1, self.N_NODES):  # start with a core on every node
+            self.ex.add_core(node)
+        self.received = 0
+        self.keys = set()
+
+    def task(self, pick):
+        return self.ex.tasks[pick % len(self.ex.tasks)].task_id
+
+    @rule(key=st.integers(0, 11))
+    def receive(self, key):
+        self.ex.receive(key, self.received)
+        self.received += 1
+        self.keys.add(key)
+
+    @rule(pick=st.none() | st.integers(0, 7), n=st.integers(1, 3))
+    def step(self, pick, n):
+        self.ex.step(None if pick is None else self.task(pick), max_tuples=n)
+
+    @rule(shard=st.integers(0, N_SHARDS - 1), pick=st.integers(0, 7))
+    def reassign_shard(self, shard, pick):
+        try:
+            self.ex.reassign_shard(shard, self.task(pick))
+        except ValueError:
+            pass
+
+    @rule(node=st.integers(0, N_NODES - 1))
+    def add_core(self, node):
+        self.ex.add_core(node)
+
+    @rule(pick=st.integers(0, 7))
+    def remove_core(self, pick):
+        try:
+            self.ex.remove_core(self.task(pick))
+        except ValueError:
+            pass
+
+    @rule()
+    def run_until_idle(self):
+        self.ex.run_until_idle()
+        self.check_idle()
+
+    @invariant()
+    def per_key_fifo(self):
+        counts, last = {}, {}
+        for t in self.ex.emitted:
+            n, value = t.value
+            assert n == counts.get(t.key, 0) + 1, (t.key, n)
+            assert value > last.get(t.key, -1)
+            counts[t.key], last[t.key] = n, value
+
+    @invariant()
+    def shards_route_to_live_tasks(self):
+        ex = self.ex
+        for shard, owner in enumerate(ex.shard_to_task):
+            r = ex._pending_reassign.get(shard)
+            target = owner if r is None else r.dst_task
+            assert target in ex._task_by_id and target not in ex._draining, shard
+
+    def check_idle(self):
+        ex = self.ex
+        resident, total = {}, 0
+        for node, store in ex._stores.items():
+            for shard in store.shard_ids():
+                resident.setdefault(shard, []).append(node)
+                total += sum(store._shards[shard].data.values())
+        assert total == self.received
+        touched = {shard_hash.key_to_shard(k, self.N_SHARDS) for k in self.keys}
+        assert set(resident) == touched
+        for shard in touched:
+            assert resident[shard] == [ex._task(ex.shard_to_task[shard]).node], shard
+
+    def teardown(self):
+        self.ex.run_until_idle()
+        self.check_idle()
+
+
+TestExecutorStateMachine = ExecutorMachine.TestCase
+TestExecutorStateMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

@@ -9,6 +9,8 @@ from the engine as it stood before the cost-model facts were given one
 definition each; a change that alters any output bit fails here.
 """
 import hashlib
+from contextlib import nullcontext
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.engine.simulator import EngineConfig
 from repro.experiments.micro import PARADIGMS, micro_topology
 from repro.experiments.table2 import sse_engine_inputs
 from repro.streams.microbench import micro_trace
+from repro.substrate import cluster
 from repro.substrate.cluster import ClusterSpec
 
 OP_ARRAYS = ("tasks_node", "tasks_exec", "shard_assign", "queue_n", "resid_n")
@@ -36,18 +39,26 @@ GOLDEN = {
 def _inputs(workload):
     if workload == "sse":
         return sse_engine_inputs(n_nodes=8, n_epochs=20, seed=3)
-    # fractional protocol costs, so the order of cost accumulation shows
-    spec = ClusterSpec(n_nodes=4, cores_per_node=4, ec_sync_ms=2.1, migration_proto_ms=0.7)
+    spec = ClusterSpec(n_nodes=4, cores_per_node=4)
     topo = micro_topology(n_executors=4, shards_per_executor=16)
     trace = micro_trace(n_epochs=25, rate=12_000, n_keys=500, omega=8, seed=0)
     return spec, topo, trace
+
+
+def _costs(workload):
+    """The micro case runs with fractional protocol costs, so the order
+    of cost accumulation shows; the SSE case with the paper's."""
+    if workload == "sse":
+        return nullcontext()
+    return patch.multiple(cluster, EC_SYNC_MS=2.1, MIGRATION_PROTO_MS=0.7)
 
 
 def run_digest(paradigm, workload):
     """SHA-256 over the run's trajectory and final operator arrays."""
     spec, topo, trace = _inputs(workload)
     sim = PARADIGMS[paradigm](topo, EngineConfig(spec=spec))
-    frame = sim.run(trace).to_frame().drop(columns="sched_ms")
+    with _costs(workload):
+        frame = sim.run(trace).to_frame().drop(columns="sched_ms")
     h = hashlib.sha256()
     arrays = [(col, frame[col].to_numpy()) for col in frame.columns]
     for name in topo.topo_order():

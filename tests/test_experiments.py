@@ -13,6 +13,7 @@ from repro.experiments import reassignment as xreassign
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import PAPER_TABLE2, format_table2, run_table2
 from repro.experiments.table3 import PAPER_TABLE3, format_table3, run_table3
+from repro.substrate import cluster
 from repro.substrate.cluster import ClusterSpec
 
 
@@ -159,8 +160,7 @@ class TestReassignment:
         assert df["resource_centric_ms"].iloc[-1] > 50 * df["elasticutor_ms"].iloc[-1]
 
     def test_measured_ec_sync_matches_model(self):
-        spec = ClusterSpec()
-        assert xreassign.measured_ec_sync_ms(spec) == pytest.approx(spec.ec_sync_ms)
+        assert xreassign.measured_ec_sync_ms() == pytest.approx(cluster.EC_SYNC_MS)
 
     def test_migration_vs_state_fig9b(self):
         df = xreassign.migration_vs_state((32 * 1024, 1 << 25))

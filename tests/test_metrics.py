@@ -7,7 +7,7 @@ from repro.engine.metrics import EpochMetrics, RunResult
 
 
 def make_result(n=10, warmup=2, **overrides):
-    r = RunResult("test", epoch_s=1.0, warmup=warmup)
+    r = RunResult("test", warmup=warmup)
     for i in range(n):
         e = EpochMetrics(epoch=i, offered=100.0, processed=80.0, latency_ms=10.0)
         for k, v in overrides.items():
@@ -23,13 +23,13 @@ class TestSummaries:
         assert r.throughput_tps() == pytest.approx(80.0)
 
     def test_avg_latency_processing_weighted(self):
-        r = RunResult("t", 1.0, warmup=0)
+        r = RunResult("t", warmup=0)
         r.epochs.append(EpochMetrics(0, processed=100.0, latency_ms=10.0))
         r.epochs.append(EpochMetrics(1, processed=300.0, latency_ms=50.0))
         assert r.avg_latency_ms() == pytest.approx((100 * 10 + 300 * 50) / 400)
 
     def test_latency_skips_idle_epochs(self):
-        r = RunResult("t", 1.0, warmup=0)
+        r = RunResult("t", warmup=0)
         r.epochs.append(EpochMetrics(0, processed=0.0, latency_ms=999.0))
         r.epochs.append(EpochMetrics(1, processed=10.0, latency_ms=5.0))
         assert r.avg_latency_ms() == pytest.approx(5.0)
@@ -47,7 +47,7 @@ class TestSummaries:
         assert r.remote_rate_mbps() == pytest.approx(2.0)
 
     def test_sched_ms_averages_nonzero_epochs(self):
-        r = RunResult("t", 1.0, warmup=0)
+        r = RunResult("t", warmup=0)
         r.epochs.append(EpochMetrics(0, sched_ms=4.0))
         r.epochs.append(EpochMetrics(1, sched_ms=0.0))
         r.epochs.append(EpochMetrics(2, sched_ms=6.0))
@@ -76,7 +76,7 @@ class TestSummaries:
         }
 
     def test_empty_run(self):
-        r = RunResult("t", 1.0)
+        r = RunResult("t")
         assert r.throughput_tps() == 0.0
         assert r.migration_rate_mbps() == 0.0
         assert r.shed_fraction() == 0.0

@@ -14,6 +14,7 @@ from repro.paradigms.naive_ec import NaiveECSim
 from repro.paradigms.resource_centric import ResourceCentricSim
 from repro.paradigms.static_paradigm import StaticSim
 from repro.streams.microbench import micro_trace
+from repro.substrate import cluster
 from repro.substrate.cluster import ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
@@ -147,7 +148,7 @@ class TestElasticutor:
         moves = sum(e.n_shard_moves for e in r.epochs)
         sync = sum(e.sync_ms for e in r.epochs)
         assert moves > 0
-        assert sync == pytest.approx(moves * cfg.spec.ec_sync_ms)
+        assert sync == pytest.approx(moves * cluster.EC_SYNC_MS)
 
     def test_assignment_respects_capacity_every_epoch(self):
         sim = ElasticutorSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
@@ -266,7 +267,7 @@ def _stall_factors(cls, topology, cfg, trace):
 def _charge_move(sim, rt, m, shard, src_node, dst_node):
     """One move's §3.3 charge, added move by move: the sequential
     accumulation the engine's batched charging must equal bit for bit."""
-    sync, mig = sim.spec.ec_shard_reassign_ms(rt.op.shard_state_bytes, src_node != dst_node)
+    sync, mig = cluster.ec_shard_reassign_ms(rt.op.shard_state_bytes, src_node != dst_node)
     rt.pause_ms[shard] += sync + mig
     m.sync_ms += sync
     if src_node != dst_node:
@@ -334,16 +335,16 @@ def _loop_rebuild(sim, rt, Xop, loads, m):
     return nodes, execs, new_assign
 
 
-PAPER_COSTS = ClusterSpec(n_nodes=8, cores_per_node=8)
-FRACTIONAL_COSTS = ClusterSpec(n_nodes=8, cores_per_node=8, ec_sync_ms=2.1, migration_proto_ms=0.7)
+#: protocol costs the runs below set in ``repro.substrate.cluster``
+COSTS = {"paper-costs": {}, "fractional-costs": {"EC_SYNC_MS": 2.1, "MIGRATION_PROTO_MS": 0.7}}
 THETAS = (1.05, 1.2, 2.0)
 #: total shard moves of the runs below at each θ of THETAS: three θ give
 #: three totals, so the run reads the θ the test sets
 SHARD_MOVES = {
-    (ElasticutorSim, PAPER_COSTS): (337, 273, 223),
-    (ElasticutorSim, FRACTIONAL_COSTS): (339, 273, 223),
-    (NaiveECSim, PAPER_COSTS): (848, 829, 809),
-    (NaiveECSim, FRACTIONAL_COSTS): (848, 829, 809),
+    (ElasticutorSim, "paper-costs"): (337, 273, 223),
+    (ElasticutorSim, "fractional-costs"): (339, 273, 223),
+    (NaiveECSim, "paper-costs"): (848, 829, 809),
+    (NaiveECSim, "fractional-costs"): (848, 829, 809),
 }
 
 
@@ -353,11 +354,9 @@ class TestRebuildMatchesLoopReference:
     per-move sums) and θ on both sides of the executors' δ."""
 
     @pytest.mark.parametrize("theta", THETAS)
-    @pytest.mark.parametrize(
-        "spec", [PAPER_COSTS, FRACTIONAL_COSTS], ids=["paper-costs", "fractional-costs"]
-    )
+    @pytest.mark.parametrize("costs", list(COSTS))
     @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
-    def test_same_run(self, cls, spec, theta, monkeypatch):
+    def test_same_run(self, cls, costs, theta, monkeypatch):
         class Reference(cls):
             _apply = _loop_apply
 
@@ -367,11 +366,13 @@ class TestRebuildMatchesLoopReference:
         ]
         t = Topology(ops, [("a", "b")])
         monkeypatch.setattr(load_balancer, "DEFAULT_THETA", theta)
-        cfg = EngineConfig(spec=spec, warmup_epochs=0)
+        for name, value in COSTS[costs].items():
+            monkeypatch.setattr(cluster, name, value)
+        cfg = EngineConfig(spec=spec(n=8, c=8), warmup_epochs=0)
         trace = micro_trace(n_epochs=20, rate=20_000, n_keys=2000, omega=8, skew=1.0, seed=0)
         got, ref = cls(t, cfg), Reference(t, cfg)
         r_got, r_ref = got.run(trace), ref.run(trace)
-        assert sum(e.n_shard_moves for e in r_got.epochs) == SHARD_MOVES[cls, spec][THETAS.index(theta)]
+        assert sum(e.n_shard_moves for e in r_got.epochs) == SHARD_MOVES[cls, costs][THETAS.index(theta)]
         assert sum(e.n_core_changes for e in r_ref.epochs) > 0
         assert sum(e.migrated_bytes for e in r_ref.epochs) > 0
         assert r_got.to_frame().drop(columns=["sched_ms"]).equals(

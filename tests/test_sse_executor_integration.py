@@ -14,7 +14,6 @@ from repro.core.elastic_executor import ElasticExecutor
 from repro.sse_app.order_book import OrderBook
 from repro.sse_app.transactor import match_orders_pdf
 from repro.streams.sse import sse_orders_pdf
-from repro.substrate.cluster import ClusterSpec
 
 
 def transactor_fn(key, value, state):
@@ -42,9 +41,7 @@ def reference(orders):
 def run_elastic(orders, schedule):
     """Feed orders through an elastic executor, applying the given
     (at_index, action) schedule of scaling events mid-stream."""
-    ex = ElasticExecutor(
-        0, n_shards=8, local_node=0, fn=transactor_fn, spec=ClusterSpec()
-    )
+    ex = ElasticExecutor(0, n_shards=8, local_node=0, fn=transactor_fn)
     events = dict()
     for at, action in schedule:
         events.setdefault(at, []).append(action)
