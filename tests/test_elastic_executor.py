@@ -543,6 +543,4 @@ class ExecutorMachine(RuleBasedStateMachine):
 
 
 TestExecutorStateMachine = ExecutorMachine.TestCase
-TestExecutorStateMachine.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+TestExecutorStateMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
