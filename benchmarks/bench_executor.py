@@ -1,6 +1,6 @@
 """Benchmark of the tuple-level elastic executor's per-tuple path: the
-receiver (two-tier routing, one scalar XXH64 per tuple) and the tasks'
-``step`` loop, on a fixed zipf(0.5) key stream.
+receiver (two-tier routing, one scalar XXH64 per distinct key) and the
+tasks' ``step`` loop, on a fixed zipf(0.5) key stream.
 
 Run: ``pytest benchmarks/bench_executor.py --benchmark-only``
 """

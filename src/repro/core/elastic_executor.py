@@ -10,8 +10,10 @@ streams:
 * **Two-tier routing table** — tier 1 statically hashes keys to shards
   (:func:`repro.core.shards.key_to_shard`, on a Python-int key its
   scalar XXH64 twin); tier 2 is the dynamic shard→task map updated by
-  reassignments.  Routing a tuple is O(1): one hash, one list index and
-  one dict lookup from task id to task.
+  reassignments.  Tier 1 never changes, so the receiver hashes each
+  distinct key once and remembers its shard; tier 2 is kept as one
+  queue per shard, the one a new tuple of the shard joins.  Routing a
+  tuple is two lookups: key → shard, shard → queue.
 * **Tasks** — one data-processing "thread" per assigned CPU core, each
   with a FIFO pending queue, hosted by a per-node process that owns a
   shared :class:`~repro.core.state.StateStore`.
@@ -58,6 +60,7 @@ class _Reassignment:
     shard: int
     src_task: int
     dst_task: int
+    #: ``(shard, tuple)`` pairs that arrived while the shard was paused
     buffered: deque = field(default_factory=deque)
 
 
@@ -95,6 +98,14 @@ class Task:
 class ElasticExecutor:
     """One elastic executor over a fixed key subspace, hashed into
     ``n_shards`` shards, processing with ``fn(key, value, state) -> out``.
+
+    The receiver remembers the shard of every key it has seen: one int
+    per distinct key for the executor's lifetime.  The key subspace is
+    static by design (§3.1), and a stateful ``fn`` already keeps per-key
+    state in the store for the same keys.
+
+    ``shard_to_task`` is the source of truth for shard ownership; assign
+    a whole new list to it (not item by item) to re-home shards at once.
     """
 
     def __init__(
@@ -122,7 +133,12 @@ class ElasticExecutor:
         #: task id -> task, for every task in ``self.tasks``
         self._task_by_id: dict[int, Task] = {}
         self._next_task_id = 0
-        self.shard_to_task: list[int] = []
+        #: tier 1: key -> shard of every key seen so far
+        self._shard_of: dict[Any, int] = {}
+        self._shard_to_task: list[int] = []
+        #: tier 2 as queues: the deque a new tuple of each shard joins —
+        #: its owner's ``pending``, or ``buffered`` while the shard moves
+        self._route: list[deque] = []
         self._pending_reassign: dict[int, _Reassignment] = {}
         #: removed tasks still finishing their queues; never a destination.
         self._draining: set[int] = set()
@@ -135,6 +151,21 @@ class ElasticExecutor:
         self.n_reassignments = 0
         self.add_core(local_node)
         self.shard_to_task = [0] * n_shards
+
+    @property
+    def shard_to_task(self) -> list[int]:
+        """Owner task id of each shard (tier 2 of the routing table)."""
+        return self._shard_to_task
+
+    @shard_to_task.setter
+    def shard_to_task(self, owners: list[int]) -> None:
+        owners = list(owners)
+        if len(owners) != self.n_shards:
+            raise ValueError(f"need one owner per shard, got {len(owners)}")
+        if self._pending_reassign:
+            raise ValueError("cannot re-home shards while reassignments are in flight")
+        self._route = [self._task(tid).pending for tid in owners]
+        self._shard_to_task = owners
 
     # ------------------------------------------------------------------
     # core (task) lifecycle
@@ -157,7 +188,9 @@ class ElasticExecutor:
         task.  Pending tuples are drained through the reassignment
         protocol (labeling tuples), so call :meth:`run_until_idle`
         afterwards to complete in-flight work.  Shards already moving
-        to the task are re-targeted to the same survivor."""
+        to the task are re-targeted to the least-queued survivor other
+        than their source; a move whose source is the only survivor is
+        cancelled."""
         self._task(task_id)  # validate
         survivors = [
             t.task_id
@@ -166,10 +199,15 @@ class ElasticExecutor:
         ]
         if not survivors:
             raise ValueError("cannot remove the last core of an executor")
-        dst = min(survivors, key=lambda tid: self._task(tid).queue_len())
-        for r in self._pending_reassign.values():
+        queued = {tid: self._task(tid).queue_len() for tid in survivors}
+        dst = min(survivors, key=queued.__getitem__)
+        for r in list(self._pending_reassign.values()):
             if r.dst_task == task_id:
-                r.dst_task = dst
+                others = [tid for tid in survivors if tid != r.src_task]
+                if others:
+                    r.dst_task = min(others, key=queued.__getitem__)
+                else:
+                    self._cancel_reassignment(r.shard)
         for shard, owner in enumerate(self.shard_to_task):
             if owner == task_id and shard not in self._pending_reassign:
                 self.reassign_shard(shard, dst)
@@ -197,15 +235,16 @@ class ElasticExecutor:
     def receive(self, key: int, value: Any) -> None:
         """Receiver daemon: assign an arrival sequence number and route
         by the two-tier table.  Tuples of a shard under reassignment are
-        buffered until the protocol completes."""
-        tup = Tuple(key=key, value=value, seq=self._seq)
+        buffered until the protocol completes.  A key is hashed on its
+        first arrival only; a key that cannot be hashed raises every
+        time and is not remembered."""
+        tup = Tuple(key, value, self._seq)
         self._seq += 1
-        shard = shard_hash.key_to_shard(key, self.n_shards)
-        pending = self._pending_reassign.get(shard)
-        if pending is not None:
-            pending.buffered.append(tup)
-            return
-        self._task_by_id[self.shard_to_task[shard]].pending.append((shard, tup))
+        try:
+            shard = self._shard_of[key]
+        except KeyError:
+            shard = self._shard_of[key] = shard_hash.key_to_shard(key, self.n_shards)
+        self._route[shard].append((shard, tup))
 
     # ------------------------------------------------------------------
     # consistent shard reassignment (§3.3)
@@ -225,10 +264,23 @@ class ElasticExecutor:
         if dst_task == src_task:
             return
         # pause routing for the shard, then label the source queue
-        self._pending_reassign[shard] = _Reassignment(shard, src_task, dst_task)
+        r = self._pending_reassign[shard] = _Reassignment(shard, src_task, dst_task)
+        self._route[shard] = r.buffered
         self._task(src_task).pending.append((shard, _LABEL))
         self.sync_ms += cluster.EC_SYNC_MS
         self.n_reassignments += 1
+
+    def _cancel_reassignment(self, shard: int) -> None:
+        """Undo a move that has not completed: its label leaves the
+        source queue, its buffered tuples join the source queue in
+        arrival order, and its sync charge is refunded."""
+        r = self._pending_reassign.pop(shard)
+        src = self._task(r.src_task).pending
+        src.remove((shard, _LABEL))
+        src.extend(r.buffered)
+        self._route[shard] = src
+        self.sync_ms -= cluster.EC_SYNC_MS
+        self.n_reassignments -= 1
 
     def _complete_reassignment(self, shard: int) -> None:
         r = self._pending_reassign.pop(shard)
@@ -244,10 +296,10 @@ class ElasticExecutor:
                 self.migration_ms += migration_ms
         # routing-table update, then resume: flush buffered tuples in
         # arrival order to the destination task.
-        self.shard_to_task[shard] = r.dst_task
-        dst = self._task(r.dst_task)
-        while r.buffered:
-            dst.pending.append((shard, r.buffered.popleft()))
+        self._shard_to_task[shard] = r.dst_task
+        dst = self._task(r.dst_task).pending
+        dst.extend(r.buffered)
+        self._route[shard] = dst
 
     # ------------------------------------------------------------------
     # task execution

@@ -22,8 +22,8 @@ here twice:
   receiver; the twin is several times cheaper.  ``tests/test_shards.py``
   checks the two agree bit-for-bit.
 
-:func:`key_to_shard` — the hash the receiver runs once per tuple —
-takes the scalar twin for a Python ``int`` or NumPy integer scalar in
+:func:`key_to_shard` — the hash the receiver runs once per distinct
+key, on its first arrival — takes the scalar twin for a Python ``int`` or NumPy integer scalar in
 [−2⁶³, 2⁶⁴) — the range NumPy casts to ``uint64`` — and the NumPy path
 for everything else, so an out-of-range int raises ``OverflowError``
 exactly as before.  :func:`key_to_executor` always takes the NumPy

@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -71,6 +71,58 @@ class TestBasicProcessing:
         ex.receive(key, "v")
         owner = ex.shard_to_task[shard]
         assert ex.queue_sizes()[owner] == 1
+
+    def test_shard_map_assignment_checked(self):
+        ex = make_exec(n_shards=4)
+        t1 = ex.add_core(0)
+        with pytest.raises(ValueError, match="one owner per shard"):
+            ex.shard_to_task = [0, t1]
+        ex.receive(key_of_shard(0, 4), "v")
+        ex.reassign_shard(0, t1)
+        with pytest.raises(ValueError, match="in flight"):
+            ex.shard_to_task = [t1] * 4
+        assert ex.shard_to_task == [0] * 4
+
+
+#: keys the receiver accepts: Python ints in [-2**63, 2**64), NumPy
+#: integer scalars, bools and integral floats (equal keys of different
+#: types share one memo entry, so their shards must agree)
+HASHABLE_KEYS = st.one_of(
+    st.integers(-(2**63), 2**64 - 1),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.booleans(),
+    st.integers(-(2**63), 2**64 - 1).map(float).filter(lambda f: f < 2**64),
+    st.sampled_from([0, 1, -1, -(2**63), 2**63, 2**64 - 2**11]).flatmap(
+        lambda k: st.sampled_from([k, float(k), np.uint64(k % 2**64)])
+    ),
+)
+
+
+class TestShardMemo:
+    """The receiver hashes a key on its first arrival only; every
+    arrival must still be queued under ``key_to_shard(key, n_shards)``."""
+
+    @given(keys=st.lists(HASHABLE_KEYS, max_size=40), n_shards=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_queued_shard_is_the_hash(self, keys, n_shards):
+        ex = make_exec(n_shards=n_shards)
+        for k in keys + keys:
+            ex.receive(k, None)
+        queued = [shard for shard, _ in ex.tasks[0].pending]
+        assert queued == [shard_hash.key_to_shard(k, n_shards) for k in keys + keys]
+        assert len(ex._shard_of) == len(set(keys))
+
+    @given(key=st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**63) - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_unhashable_key_raises_every_time(self, key):
+        ex = make_exec()
+        for _ in range(3):
+            with pytest.raises(OverflowError):
+                ex.receive(key, None)
+            assert ex._shard_of == {}
+        assert ex.queue_sizes() == {0: 0}
 
 
 class TestScaling:
@@ -150,6 +202,44 @@ class TestScaling:
         assert ex.store_on(1).get(shard, key) == 6
         assert not ex.store_on(0).has_shard(shard)
         assert {t.task_id for t in ex.tasks} == {0, t2}
+
+    def test_remove_core_retargets_past_the_source(self):
+        """A move re-targeted by ``remove_core`` never lands on its own
+        source, even when the source has the shortest queue."""
+        ex = make_exec(n_shards=4)
+        t1, t2 = ex.add_core(0), ex.add_core(0)
+        ex.shard_to_task = [0, t2, 0, 0]
+        for i in range(3):
+            ex.receive(key_of_shard(1, 4), i)  # t2's queue is the longest
+        ex.reassign_shard(0, t1)
+        ex.remove_core(t1)
+        assert ex._pending_reassign[0].dst_task == t2
+        ex.run_until_idle()
+        assert ex.shard_to_task == [t2, t2, 0, 0]
+        assert ex.n_reassignments == 1
+        assert ex.sync_ms == cluster.EC_SYNC_MS
+
+    def test_remove_core_cancels_move_onto_only_survivor(self):
+        """With the source as the only survivor, a move onto the removed
+        task is cancelled: its label is withdrawn, its buffered tuples
+        join the source queue in order and its sync charge is refunded."""
+        ex = make_exec(n_shards=4)
+        t1 = ex.add_core(0)
+        key = key_of_shard(0, 4)
+        for i in range(3):
+            ex.receive(key, i)
+        ex.reassign_shard(0, t1)
+        ex.receive(key, 3)  # buffered at the receiver
+        ex.remove_core(t1)
+        assert ex._pending_reassign == {}
+        assert ex._route[0] is ex._task(0).pending
+        assert [item.value for _, item in ex._task(0).pending] == [0, 1, 2, 3]
+        ex.receive(key, 4)
+        assert ex.run_until_idle() == 5
+        assert [t.value for t in ex.emitted] == [(n, n - 1) for n in range(1, 6)]
+        assert ex.shard_to_task == [0] * 4
+        assert (ex.n_reassignments, ex.sync_ms) == (0, 0.0)
+        assert [t.task_id for t in ex.tasks] == [0]
 
 
 class TestConsistentReassignment:
@@ -470,6 +560,14 @@ class ExecutorMachine(RuleBasedStateMachine):
             self.ex.add_core(node)
         self.received = 0
         self.keys = set()
+        self.completed = 0
+        complete = self.ex._complete_reassignment
+
+        def counted(shard):
+            self.completed += 1
+            complete(shard)
+
+        self.ex._complete_reassignment = counted
 
     def task(self, pick):
         return self.ex.tasks[pick % len(self.ex.tasks)].task_id
@@ -497,10 +595,21 @@ class ExecutorMachine(RuleBasedStateMachine):
 
     @rule(pick=st.integers(0, 7))
     def remove_core(self, pick):
+        self.remove_core_id(self.task(pick))
+
+    def remove_core_id(self, task_id):
         try:
-            self.ex.remove_core(self.task(pick))
+            self.ex.remove_core(task_id)
         except ValueError:
             pass
+
+    @rule(pick=st.integers(0, 7))
+    def remove_move_destination(self, pick):
+        """Remove the destination of an in-flight move, which
+        ``remove_core`` must re-target or cancel."""
+        moves = list(self.ex._pending_reassign.values())
+        if moves:
+            self.remove_core_id(moves[pick % len(moves)].dst_task)
 
     @rule()
     def run_until_idle(self):
@@ -523,6 +632,25 @@ class ExecutorMachine(RuleBasedStateMachine):
             r = ex._pending_reassign.get(shard)
             target = owner if r is None else r.dst_task
             assert target in ex._task_by_id and target not in ex._draining, shard
+
+    @invariant()
+    def route_matches_owner(self):
+        """Each shard's route is its move's buffer while it moves, else
+        its owner's queue; and no move goes from a task to itself."""
+        ex = self.ex
+        for shard, owner in enumerate(ex.shard_to_task):
+            r = ex._pending_reassign.get(shard)
+            want = ex._task(owner).pending if r is None else r.buffered
+            assert ex._route[shard] is want, shard
+            assert r is None or r.src_task != r.dst_task, shard
+
+    @invariant()
+    def one_charge_per_move(self):
+        """Every completed or in-flight move is counted and charged once;
+        a cancelled one is not."""
+        ex = self.ex
+        assert ex.n_reassignments == self.completed + len(ex._pending_reassign)
+        assert ex.sync_ms == pytest.approx(cluster.EC_SYNC_MS * ex.n_reassignments)
 
     def check_idle(self):
         ex = self.ex
