@@ -87,7 +87,7 @@ class TestBasicProcessing:
 #: keys the receiver accepts: Python ints in [-2**63, 2**64), NumPy
 #: integer scalars, bools and integral floats (equal keys of different
 #: types share one memo entry, so their shards must agree)
-HASHABLE_KEYS = st.one_of(
+ROUTABLE_KEYS = st.one_of(
     st.integers(-(2**63), 2**64 - 1),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.integers(0, 2**64 - 1).map(np.uint64),
@@ -104,7 +104,7 @@ class TestShardMemo:
     """The receiver hashes a key on its first arrival only; every
     arrival must still be queued under ``key_to_shard(key, n_shards)``."""
 
-    @given(keys=st.lists(HASHABLE_KEYS, max_size=40), n_shards=st.integers(1, 300))
+    @given(keys=st.lists(ROUTABLE_KEYS, max_size=40), n_shards=st.integers(1, 300))
     @settings(max_examples=200, deadline=None)
     def test_queued_shard_is_the_hash(self, keys, n_shards):
         ex = make_exec(n_shards=n_shards)
@@ -116,7 +116,7 @@ class TestShardMemo:
 
     @given(key=st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**63) - 1))
     @settings(max_examples=50, deadline=None)
-    def test_unhashable_key_raises_every_time(self, key):
+    def test_out_of_range_key_raises_every_time(self, key):
         ex = make_exec()
         for _ in range(3):
             with pytest.raises(OverflowError):
