@@ -103,11 +103,28 @@ def _xxh64_int(key: object, salt: object) -> int | None:
     return acc >> 1
 
 
+def _wrap(key: object) -> object:
+    """A Python int in [−2⁶³, 0) as its 64-bit two's complement."""
+    return key & _MASK if isinstance(key, int) and _INT_LO <= key < 0 else key
+
+
+def _as_u64(keys: np.ndarray | int) -> np.ndarray:
+    """``np.asarray(keys, dtype=np.uint64)``, negative keys as two's
+    complement, without NumPy's deprecated cast of a negative Python
+    int: such ints (alone or in a list) are masked to 64 bits first,
+    and a signed integer array is reinterpreted.  A key outside
+    [−2⁶³, 2⁶⁴) still raises ``OverflowError`` in the cast."""
+    if isinstance(keys, (list, tuple)):
+        return np.asarray([_wrap(k) for k in keys], dtype=np.uint64)
+    arr = np.asarray(_wrap(keys))
+    return arr.astype(np.uint64) if arr.dtype.kind == "i" else np.asarray(arr, dtype=np.uint64)
+
+
 def key_to_executor(keys: np.ndarray | int, n_executors: int) -> np.ndarray | int:
     """Tier-1 static operator-level partitioning: key → executor id."""
     if n_executors <= 0:
         raise ValueError("n_executors must be positive")
-    arr = np.asarray(keys, dtype=np.uint64)
+    arr = _as_u64(keys)
     out = _xxh64(arr) % np.uint64(n_executors)
     return int(out) if np.isscalar(keys) or arr.shape == () else out.astype(np.int64)
 
@@ -124,7 +141,7 @@ def key_to_shard(keys: np.ndarray | int, n_shards: int, salt: int = 0x51ED) -> n
     h = _xxh64_int(keys, salt)
     if h is not None:
         return h % int(n_shards)
-    arr = np.asarray(keys, dtype=np.uint64)
+    arr = _as_u64(keys)
     out = _xxh64(arr ^ np.uint64(salt)) % np.uint64(n_shards)
     return int(out) if np.isscalar(keys) or arr.shape == () else out.astype(np.int64)
 

@@ -17,9 +17,11 @@ Every epoch the control plane:
    intra-executor load balancer (§3.1) restores δ < θ — an executor
    whose cores did not change only rebalances.  Executors with no
    orphan whose δ is already clearly below θ are screened out with
-   array operations before the per-executor loop.  Every shard move is
-   charged the §3.3 protocol cost, once over the move list ordered by
-   executor: a 2 ms sync pause, plus state migration only when the
+   array operations; every other executor with several tasks is
+   balanced in one lockstep call of
+   :func:`~repro.core.load_balancer.rebalance_many`.  Every shard move
+   is charged the §3.3 protocol cost, once over the move list ordered
+   by executor: a 2 ms sync pause, plus state migration only when the
    shard crosses nodes (intra-process state sharing makes same-node
    moves free).
 
@@ -36,7 +38,9 @@ import numpy as np
 from repro.core import load_balancer
 from repro.core import shards as shard_hash
 from repro.core.assignment import AssignmentResult, assign_cores
-from repro.core.load_balancer import moves_array, rebalance
+# Not called here: perfbench/tracing.py wraps the name ``rebalance`` in
+# this module's namespace, so it stays importable from it.
+from repro.core.load_balancer import rebalance  # noqa: F401
 from repro.core.scheduler import T_MAX_MS, allocate_cores
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import _EPS, BaseSim, OpRuntime, _add_in_order
@@ -187,15 +191,22 @@ class ElasticutorSim(BaseSim):
         (executor, node) group the old tasks survive in order up to the
         wanted count; the rest die and new tasks fill the group's tail.
         Shards of dead tasks are re-homed (heaviest first, each onto the
-        least-loaded task), then each executor is rebalanced to δ < θ.
+        least-loaded task of its executor), then each executor is
+        rebalanced to δ < θ.
 
         One ``bincount`` of the surviving shards screens the executors:
         only those with orphans, or with several tasks and δ not clearly
-        below θ, enter the per-executor loop; for the rest
-        :func:`rebalance` would return at once with no move.  The moves
-        are collected in executor order and charged once.  With an
-        unchanged ``X`` every task maps to itself, so this reduces to
-        the per-executor rebalance."""
+        below θ, are busy; for the rest :func:`rebalance` would return
+        at once with no move.  The orphans are placed first, one heap
+        per executor that has any.  Then every busy executor with
+        several tasks is gathered through an index matrix into one
+        padded (executors × shards) batch for
+        :func:`~repro.core.load_balancer.rebalance_many`, which gives
+        each executor exactly :func:`rebalance`'s moves.  The moves are
+        sorted by executor, orphans before balancing moves (the order
+        a per-executor loop makes), and charged once.  With an unchanged
+        ``X`` every task maps to itself, so this reduces to the
+        per-executor rebalance."""
         n = self.spec.n_nodes
         M = X.shape[1]
         k = X.sum(axis=0)
@@ -230,38 +241,55 @@ class ElasticutorSim(BaseSim):
         # The 1e-9 margin covers the rounding between this mean and
         # rebalance's, so an executor near θ still gets the exact test;
         # an idle one (max = mean = 0) is skipped, as rebalance stops there.
-        orphaned = np.bincount(self._shard_exec[~live], minlength=M) > 0
-        busy = orphaned | ((k > 1) & (tmax > load_balancer.DEFAULT_THETA * (1.0 - 1e-9) * tmean))
-        moved, inter = [], []  # shard and crosses-nodes flag per move, in order
-        shard0, zs = self._exec_shard0, self._exec_z
-        for j in np.flatnonzero(busy).tolist():
-            kj, s0, z, tj0 = int(k[j]), int(shard0[j]), int(zs[j]), int(exec_start[j])
-            sl = slice(s0, s0 + z)
-            loc = new_assign[sl] - tj0  # negative where orphaned
-            lj = loads[sl]
-            orphans = np.flatnonzero(loc < 0)
-            if orphans.size:
-                orphans = orphans[np.argsort(-lj[orphans])]
-                # Known defect, kept so outputs stay as they are: when no
-                # shard of the executor survives, the running task loads
-                # are ints (the bincount of an empty selection is int64),
-                # each sum truncated toward zero.  Fixing it changes
-                # naive-EC's output (ROADMAP).
-                truncate = orphans.size == z
-                start = [0] * kj if truncate else tl[tj0 : tj0 + kj].tolist()
-                loc[orphans] = _least_loaded_first(start, lj[orphans].tolist(), truncate)
-                moved.append(s0 + orphans)
-                old_nodes = self._task_node[old_assign[s0 + orphans]]
-                inter.append(old_nodes != nodes_arr[tj0 + loc[orphans]])
-            if kj > 1:
-                loc, moves = rebalance(lj, loc, kj, load_balancer.DEFAULT_THETA)
-                if moves:
-                    sd = moves_array(moves)
-                    moved.append(s0 + sd[:, 0])
-                    inter.append(nodes_arr[tj0 + sd[:, 1]] != nodes_arr[tj0 + sd[:, 2]])
-            new_assign[sl] = tj0 + loc
+        dead = np.flatnonzero(~live)  # orphaned shards, executor by executor
+        n_dead = np.bincount(self._shard_exec[dead], minlength=M)
+        busy = (n_dead > 0) | ((k > 1) & (tmax > load_balancer.DEFAULT_THETA * (1.0 - 1e-9) * tmean))
+        # Re-home the orphans, heaviest first, each onto the least-loaded
+        # task of its executor.
+        rehomed, place = [], []
+        cut = np.cumsum(n_dead) - n_dead
+        for j in np.flatnonzero(n_dead).tolist():
+            orphans = dead[cut[j] : cut[j] + n_dead[j]]
+            lo = loads[orphans]
+            by_load = np.argsort(-lo)
+            # Known defect, kept so outputs stay as they are: when no
+            # shard of the executor survives, the running task loads
+            # are ints (the bincount of an empty selection is int64),
+            # each sum truncated toward zero.  Fixing it changes
+            # naive-EC's output (ROADMAP).
+            truncate = bool(n_dead[j] == self._exec_z[j])
+            tj0, tj1 = exec_start[j], exec_start[j] + k[j]
+            start = [0] * int(k[j]) if truncate else tl[tj0:tj1].tolist()
+            rehomed.append(orphans[by_load])
+            place += _least_loaded_first(start, lo[by_load].tolist(), truncate)
+        moved, inter, by_exec = [], [], []  # shard, crosses-nodes flag, executor per move
+        if rehomed:
+            shards = np.concatenate(rehomed)
+            new_assign[shards] = exec_start[self._shard_exec[shards]] + np.array(place)
+            moved.append(shards)
+            inter.append(self._task_node[old_assign[shards]] != nodes_arr[new_assign[shards]])
+            by_exec.append(self._shard_exec[shards])
+        # Balance every busy executor with several tasks in one batch.
+        rows = np.flatnonzero(busy & (k > 1))
+        if rows.size:
+            z = self._exec_z[rows]
+            valid = np.arange(z.max()) < z[:, None]
+            idx = np.where(valid, self._exec_shard0[rows, None] + np.arange(z.max()), 0)
+            t0 = exec_start[rows, None]
+            loc, mv = load_balancer.rebalance_many(
+                loads[idx], new_assign[idx] - t0, k[rows], z, load_balancer.DEFAULT_THETA
+            )
+            new_assign[idx[valid]] = (loc + t0)[valid]
+            if len(mv):
+                r, shard, src, dst = mv.T
+                moved.append(idx[r, shard])
+                inter.append(nodes_arr[t0[r, 0] + src] != nodes_arr[t0[r, 0] + dst])
+                by_exec.append(rows[r])
         if moved:
-            self._charge_moves(m, np.concatenate(moved), np.concatenate(inter))
+            # A stable sort by executor keeps each executor's orphans, in
+            # placement order, before its balancing moves, in round order.
+            order = np.argsort(np.concatenate(by_exec), kind="stable")
+            self._charge_moves(m, np.concatenate(moved)[order], np.concatenate(inter)[order])
         self._set_tasks(nodes_arr, exec_arr)
         self._shard_task[:] = new_assign - self._shard_task_off
 
@@ -301,6 +329,8 @@ def _least_loaded_first(task_loads: list, shard_loads: list, truncate: bool) -> 
     """Place shards, in the order given, each onto the least-loaded task
     (the lowest index on ties); return the task of each shard.  With
     ``truncate`` every running task load is cut toward zero to an int."""
+    if len(task_loads) == 1:
+        return [0] * len(shard_loads)
     heap = list(zip(task_loads, range(len(task_loads))))
     heapq.heapify(heap)
     placed = []

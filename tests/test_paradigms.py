@@ -383,6 +383,43 @@ class TestRebuildMatchesLoopReference:
                 assert np.array_equal(getattr(got.ops[name], f), getattr(ref.ops[name], f))
 
 
+    @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
+    def test_same_charge_order(self, cls, monkeypatch):
+        """The batched rebuild charges its moves in the loop's order:
+        executor by executor, each executor's re-homed orphans in
+        placement order before its balancing moves in round order."""
+        got_moves, ref_moves = [], []
+        charge = _charge_move
+
+        def record(sim, rt, m, shard, src_node, dst_node):
+            ref_moves.append((rt.op.name, shard, src_node != dst_node))
+            charge(sim, rt, m, shard, src_node, dst_node)
+
+        monkeypatch.setattr(f"{__name__}._charge_move", record)
+
+        class Reference(cls):
+            _apply = _loop_apply
+
+        class Recording(cls):
+            def _charge_moves(self, m, shards, inter):
+                op = self._shard_op[shards]
+                local = shards - self._shard_off[op]
+                got_moves.extend(
+                    (self._order[o], int(s), bool(x)) for o, s, x in zip(op, local, inter)
+                )
+                super()._charge_moves(m, shards, inter)
+
+        ops = [
+            OperatorSpec(name=name, cpu_cost_ms=1.0, tuple_bytes=128, n_executors=y, shards_per_executor=32)
+            for name, y in (("a", 8), ("b", 4))
+        ]
+        cfg = EngineConfig(spec=spec(n=8, c=8), warmup_epochs=0)
+        trace = micro_trace(n_epochs=20, rate=20_000, n_keys=2000, omega=8, skew=1.0, seed=0)
+        Recording(Topology(ops, [("a", "b")]), cfg).run(trace)
+        Reference(Topology(ops, [("a", "b")]), cfg).run(trace)
+        assert len(ref_moves) > 0
+        assert got_moves == ref_moves
+
 class TestOrphanPlacement:
     @pytest.mark.xfail(
         strict=True,

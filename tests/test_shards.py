@@ -1,5 +1,7 @@
 """Unit tests for key → executor/shard hashing, including the
 NumPy-vs-Spark-SQL equivalence of the splitmix hash."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,23 @@ class TestScalarExecutor:
     def test_out_of_range_ints_raise(self, key):
         with pytest.raises(OverflowError):
             shards.key_to_executor(key, 8)
+
+    def test_negative_ints_cast_without_warning(self):
+        """Negative Python ints, alone or in a list, hash as their two's
+        complement with no NumPy deprecation warning of the cast."""
+        keys = [-1, -(2**63), 2**63 + 1, 5]
+        want = TestScalarTwin.as_u64(keys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shards.key_to_executor(keys, 256).tolist() == shards.key_to_executor(want, 256).tolist()
+            assert [shards.key_to_executor(k, 256) for k in keys] == shards.key_to_executor(want, 256).tolist()
+            assert shards.key_to_shard(keys, 256).tolist() == shards.key_to_shard(want, 256).tolist()
+
+    @pytest.mark.parametrize("keys", [[2**64], [-(2**63) - 1, 1]])
+    def test_out_of_range_lists_raise(self, keys):
+        for fn in (shards.key_to_executor, shards.key_to_shard):
+            with pytest.raises(OverflowError):
+                fn(keys, 8)
 
 
 class TestSqlTwin:
