@@ -18,11 +18,25 @@ Free (unassigned) cores are treated as a zero-cost donor.  The outer
 driver :func:`assign_cores` doubles ``phi`` and retries whenever the
 greedy fails, as prescribed at the end of §4.2.
 
+Each added core is one ``argmin`` over a cost matrix whose rows are the
+candidate nodes (the executor's local node alone when it is
+data-intensive, else every node) and whose columns are the free core
+(``C+``, inf where the node is full) and then the donors, the
+over-provisioned executors in index order (``C- + C+``, inf where the
+donor holds no core there).  Ties go, in order, to the local node, the
+lowest node, the free core, the lowest donor: the first minimum in
+row-major order, unless the local row holds the minimum too.  FAIL is a
+matrix of inf.  Releasing a core left over is one ``argmin`` of ``C-``
+over the nodes where the executor holds cores.
+
+:func:`migration_cost_bytes` is ``C(X | X~)`` itself, the reporting
+function of the objective; the scheduling round does not compute it.
+
 :func:`assign_cores_naive` is the §5.4 *naive-EC* scheduler: it realises
 the same allocation ``k`` but with both optimisations disabled — it
-ignores the existing assignment (so every scheduling round reshuffles
-state) and ignores locality (cores are spread round-robin over all
-nodes, creating remote tasks freely).
+ignores the existing assignment (so every change in ``k`` reshuffles
+state) and ignores locality: executors in index order fill the nodes in
+order, one interval overlap per (node, executor).
 """
 from __future__ import annotations
 
@@ -37,10 +51,9 @@ MAX_PHI_DOUBLINGS = 32
 
 @dataclass
 class AssignmentResult:
-    """New assignment matrix plus the transition cost actually incurred."""
+    """New assignment matrix and the locality threshold it was found at."""
 
     X: np.ndarray  # (n_nodes, m) cores of executor j on node i
-    migration_bytes: float  # sum over executors of state bytes leaving a node
     phi_used: float  # the (possibly doubled) locality threshold
     feasible: bool
 
@@ -61,14 +74,17 @@ def migration_cost_bytes(X_new: np.ndarray, X_old: np.ndarray, state_bytes: np.n
     return float(np.maximum(0.0, shares(X_old) - shares(X_new)).sum())
 
 
-def _alloc_cost(s_j: float, X_j: float, x_ij: float) -> float:
-    return s_j * (X_j - x_ij) / (X_j * (X_j + 1.0)) if X_j > 0 else 0.0
-
-
-def _dealloc_cost(s_j: float, X_j: float, x_ij: float) -> float:
-    if X_j <= 1.0:
-        return np.inf  # would leave the executor with no core
-    return s_j * (X_j - x_ij) / (X_j * (X_j - 1.0))
+def _donors(
+    X: np.ndarray, Xj: np.ndarray, k: np.ndarray, state_bytes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The over-provisioned executors that can spare a core, in index
+    order, and the (n_nodes, donors) matrix of C-_ij (inf where the
+    donor holds no core on the node)."""
+    donors = np.flatnonzero((Xj > k) & (Xj > 1))
+    Xd = X[:, donors]
+    Xjd = Xj[donors]
+    cost = state_bytes[donors] * (Xjd - Xd) / (Xjd * (Xjd - 1.0))
+    return donors, np.where(Xd > 0, cost, np.inf)
 
 
 def _greedy(
@@ -81,8 +97,7 @@ def _greedy(
     phi: float,
 ) -> np.ndarray | None:
     """One run of Algorithm 1 at a fixed phi; None on FAIL."""
-    n, m = X_old.shape
-    X = X_old.astype(np.int64).copy()
+    X = X_old.copy()
     Xj = X.sum(axis=0)
     free = cores - X.sum(axis=1)
     if (free < 0).any():
@@ -92,48 +107,70 @@ def _greedy(
     # data-intensive first (descending intensity): they are the most
     # constrained, so serve them while local cores are still available.
     under = under[np.argsort(-data_intensity[under], kind="stable")]
+    # C- >= 0, so a donor beats a free core on the same node never and
+    # ties it only after it: donors matter on full nodes alone.  The
+    # donor matrix is built when first needed and after each donation.
+    donors = don_cost = None
     for j in under:
+        home = int(local_node[j])
+        s_j = state_bytes[j]
+        col = X[:, j]
+        # candidate rows: the home node alone, or every node; row r of
+        # the cost matrix is node row0 + r
+        if intensive[j]:
+            row0, rows = home, slice(home, home + 1)
+        else:
+            row0, rows = 0, slice(None)
+        home_row = home - row0
         while Xj[j] < k[j]:
-            nodes = [int(local_node[j])] if intensive[j] else list(range(n))
-            over = np.flatnonzero(Xj > k)  # Xj is fixed while nodes are scanned
-            # key = (cost, not-local, node): on cost ties prefer the
-            # executor's local node, improving computation locality at
-            # zero migration cost.
-            best = None  # (key, node, donor or None)
-            for i in nodes:
-                tie = (i != local_node[j], i)
-                if free[i] > 0:
-                    c = _alloc_cost(state_bytes[j], Xj[j], X[i, j])
-                    key = (c, *tie)
-                    if best is None or key < best[0]:
-                        best = (key, i, None)
-                for jp in over:
-                    if jp == j or X[i, jp] <= 0:
-                        continue
-                    c = _dealloc_cost(state_bytes[jp], Xj[jp], X[i, jp]) + _alloc_cost(
-                        state_bytes[j], Xj[j], X[i, j]
-                    )
-                    key = (c, *tie)
-                    if np.isfinite(c) and (best is None or key < best[0]):
-                        best = (key, i, int(jp))
-            if best is None:
-                return None  # FAIL — caller doubles phi
-            _, i, donor = best
-            if donor is None:
+            if intensive[j] and free[home] > 0:
+                i, c = home, 0  # the one candidate node has a free core
+            else:
+                xj = Xj[j]
+                fr = free[rows]
+                if xj > 0:
+                    alloc = s_j * (xj - col[rows]) / (xj * (xj + 1.0))
+                else:
+                    alloc = np.zeros(len(fr))
+                # column 0: a free core; then one column per donor
+                cost = np.where(fr > 0, alloc, np.inf)[:, None]
+                if not fr.all():
+                    if don_cost is None:
+                        donors, don_cost = _donors(X, Xj, k, state_bytes)
+                    cost = np.concatenate((cost, don_cost[rows] + alloc[:, None]), axis=1)
+                # Tie order of the loop's strict ``<`` over (cost,
+                # not-home, node), free core before donors in index
+                # order: the first minimum in row-major order, unless
+                # the home row ties it.
+                r, c = divmod(int(cost.argmin()), cost.shape[1])
+                best = cost[r, c]
+                if best == np.inf:
+                    return None  # FAIL — caller doubles phi
+                if r != home_row:
+                    c_home = int(cost[home_row].argmin())
+                    if cost[home_row, c_home] == best:
+                        r, c = home_row, c_home
+                i = row0 + r
+            if c == 0:
                 free[i] -= 1
             else:
-                X[i, donor] -= 1
-                Xj[donor] -= 1
+                X[i, donors[c - 1]] -= 1
+                Xj[donors[c - 1]] -= 1
+                don_cost = None
             X[i, j] += 1
             Xj[j] += 1
-    # release any remaining over-provisioned cores back to the pool
+    # release any remaining over-provisioned cores back to the pool,
+    # each from the node where C-_ij is least (first such node)
     for jp in np.flatnonzero(Xj > k):
+        s_jp = state_bytes[jp]
+        col = X[:, jp]
         while Xj[jp] > k[jp]:
-            # cheapest node to vacate
-            cand = np.flatnonzero(X[:, jp] > 0)
-            costs = [_dealloc_cost(state_bytes[jp], Xj[jp], X[i, jp]) for i in cand]
-            i = int(cand[int(np.argmin(costs))])
-            X[i, jp] -= 1
+            cand = np.flatnonzero(col > 0)
+            i = cand[0]
+            if len(cand) > 1:  # then Xj[jp] > 1 and every C-_ij is finite
+                xjp = Xj[jp]
+                i = cand[(s_jp * (xjp - col[cand]) / (xjp * (xjp - 1.0))).argmin()]
+            col[i] -= 1
             Xj[jp] -= 1
             free[i] += 1
     return X
@@ -167,22 +204,12 @@ def assign_cores(
     for _ in range(MAX_PHI_DOUBLINGS):
         X = _greedy(k, X_old, cores_per_node, state_bytes, local_node, data_intensity, cur_phi)
         if X is not None:
-            return AssignmentResult(
-                X=X,
-                migration_bytes=migration_cost_bytes(X, X_old, state_bytes),
-                phi_used=cur_phi,
-                feasible=True,
-            )
+            return AssignmentResult(X=X, phi_used=cur_phi, feasible=True)
         cur_phi *= 2.0
     X = _greedy(k, X_old, cores_per_node, state_bytes, local_node, np.zeros_like(data_intensity), np.inf)
     if X is None:
         raise RuntimeError("assignment infeasible even without locality constraint")
-    return AssignmentResult(
-        X=X,
-        migration_bytes=migration_cost_bytes(X, X_old, state_bytes),
-        phi_used=np.inf,
-        feasible=False,
-    )
+    return AssignmentResult(X=X, phi_used=np.inf, feasible=False)
 
 
 def assign_cores_naive(
@@ -200,30 +227,20 @@ def assign_cores_naive(
     executor's main process lives.  Consequences (what Table 2
     measures): placement is uncorrelated with executor homes, so most
     tasks are remote; and any change in ``k`` shifts the packing of
-    every later executor, churning state across nodes.
+    every later executor, churning state across nodes.  ``X_old`` and
+    ``state_bytes`` are not read; they keep the signature of
+    :func:`assign_cores`.
     """
     k = np.asarray(k, dtype=np.int64)
-    X_old = np.asarray(X_old, dtype=np.int64)
     cores_per_node = np.asarray(cores_per_node, dtype=np.int64)
-    n, m = X_old.shape
     if k.sum() > cores_per_node.sum():
         raise ValueError("allocation exceeds cluster capacity; cap k first")
-    X = np.zeros_like(X_old)
-    free = cores_per_node.copy()
-    i = 0
-    for j in range(m):
-        need = int(k[j])
-        while need > 0:
-            if free[i] > 0:
-                take = min(need, int(free[i]))
-                X[i, j] += take
-                free[i] -= take
-                need -= take
-            else:
-                i = (i + 1) % n
-    return AssignmentResult(
-        X=X,
-        migration_bytes=migration_cost_bytes(X, X_old, np.asarray(state_bytes, dtype=float)),
-        phi_used=np.inf,
-        feasible=True,
+    # Node i holds the cluster's cores [node_start, node_end) and
+    # executor j takes [exec_start, exec_end) of the same sequence, so
+    # x_ij is the overlap of the two intervals.
+    node_end = np.cumsum(cores_per_node)
+    exec_end = np.cumsum(k)
+    X = np.minimum(node_end[:, None], exec_end) - np.maximum(
+        (node_end - cores_per_node)[:, None], exec_end - k
     )
+    return AssignmentResult(X=np.maximum(X, 0), phi_used=np.inf, feasible=True)

@@ -87,6 +87,8 @@ class ElasticutorSim(BaseSim):
         X = np.zeros((self.spec.n_nodes, M), dtype=np.int64)
         np.add.at(X, (self._exec_home, np.arange(M)), 1)
         self._Xg = X
+        # cores per node, the capacity every assignment packs into
+        self._cores = np.full(self.spec.n_nodes, self.spec.cores_per_node, dtype=np.int64)
         # per-executor constants of the measurement step
         ops = [self.ops[name].op for name in self._order]
         z = np.array([op.shards_per_executor for op in ops])[self._exec_op]
@@ -135,8 +137,7 @@ class ElasticutorSim(BaseSim):
         local_node: np.ndarray,
         data_intensity: np.ndarray,
     ) -> AssignmentResult:
-        cores = np.full(self.spec.n_nodes, self.spec.cores_per_node, dtype=np.int64)
-        return assign_cores(k, self._Xg, cores, state_bytes, local_node, data_intensity)
+        return assign_cores(k, self._Xg, self._cores, state_bytes, local_node, data_intensity)
 
     def _elasticity(
         self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics

@@ -28,5 +28,4 @@ class NaiveECSim(ElasticutorSim):
         local_node: np.ndarray,
         data_intensity: np.ndarray,
     ) -> AssignmentResult:
-        cores = np.full(self.spec.n_nodes, self.spec.cores_per_node, dtype=np.int64)
-        return assign_cores_naive(k, self._Xg, cores, state_bytes)
+        return assign_cores_naive(k, self._Xg, self._cores, state_bytes)

@@ -2,10 +2,12 @@
 the naive-EC assignment."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import (
+    MAX_PHI_DOUBLINGS,
+    _greedy,
     assign_cores,
     assign_cores_naive,
     migration_cost_bytes,
@@ -88,6 +90,236 @@ class TestMigrationCost:
         assert migration_cost_bytes(X_new, X_old, np.array([99.0])) == 0.0
 
 
+def _alloc_cost(s_j, X_j, x_ij):
+    return s_j * (X_j - x_ij) / (X_j * (X_j + 1.0)) if X_j > 0 else 0.0
+
+
+def _dealloc_cost(s_j, X_j, x_ij):
+    if X_j <= 1.0:
+        return np.inf  # would leave the executor with no core
+    return s_j * (X_j - x_ij) / (X_j * (X_j - 1.0))
+
+
+def _greedy_loop(k, X_old, cores, state_bytes, local_node, data_intensity, phi):
+    """Per-node, per-donor loop form of ``_greedy`` (one run of
+    Algorithm 1 at a fixed phi; None on FAIL): the reference the array
+    form is checked against."""
+    n, m = X_old.shape
+    X = X_old.astype(np.int64).copy()
+    Xj = X.sum(axis=0)
+    free = cores - X.sum(axis=1)
+    if (free < 0).any():
+        raise ValueError("existing assignment exceeds node capacity")
+    intensive = data_intensity > phi
+    under = np.flatnonzero(Xj < k)
+    under = under[np.argsort(-data_intensity[under], kind="stable")]
+    for j in under:
+        while Xj[j] < k[j]:
+            nodes = [int(local_node[j])] if intensive[j] else list(range(n))
+            over = np.flatnonzero(Xj > k)
+            # key = (cost, not-local, node); strict < keeps the first of
+            # equal keys, so a free core beats a donor, and a lower donor
+            # a higher one, on the same node
+            best = None  # (key, node, donor or None)
+            for i in nodes:
+                tie = (i != local_node[j], i)
+                if free[i] > 0:
+                    c = _alloc_cost(state_bytes[j], Xj[j], X[i, j])
+                    key = (c, *tie)
+                    if best is None or key < best[0]:
+                        best = (key, i, None)
+                for jp in over:
+                    if jp == j or X[i, jp] <= 0:
+                        continue
+                    c = _dealloc_cost(state_bytes[jp], Xj[jp], X[i, jp]) + _alloc_cost(
+                        state_bytes[j], Xj[j], X[i, j]
+                    )
+                    key = (c, *tie)
+                    if np.isfinite(c) and (best is None or key < best[0]):
+                        best = (key, i, int(jp))
+            if best is None:
+                return None
+            _, i, donor = best
+            if donor is None:
+                free[i] -= 1
+            else:
+                X[i, donor] -= 1
+                Xj[donor] -= 1
+            X[i, j] += 1
+            Xj[j] += 1
+    for jp in np.flatnonzero(Xj > k):
+        while Xj[jp] > k[jp]:
+            cand = np.flatnonzero(X[:, jp] > 0)
+            costs = [_dealloc_cost(state_bytes[jp], Xj[jp], X[i, jp]) for i in cand]
+            i = int(cand[int(np.argmin(costs))])
+            X[i, jp] -= 1
+            Xj[jp] -= 1
+            free[i] += 1
+    return X
+
+
+def _assign_cores_loop(k, X_old, cores, state_bytes, local_node, data_intensity, phi):
+    """The §4.2 φ-doubling driver over ``_greedy_loop``: (X, phi_used,
+    feasible), as ``assign_cores`` returns them."""
+    cur_phi = phi
+    for _ in range(MAX_PHI_DOUBLINGS):
+        X = _greedy_loop(k, X_old, cores, state_bytes, local_node, data_intensity, cur_phi)
+        if X is not None:
+            return X, cur_phi, True
+        cur_phi *= 2.0
+    X = _greedy_loop(
+        k, X_old, cores, state_bytes, local_node, np.zeros_like(data_intensity), np.inf
+    )
+    if X is None:
+        raise RuntimeError("assignment infeasible even without locality constraint")
+    return X, np.inf, False
+
+
+def _naive_loop(k, cores):
+    """Sequential-fill loop form of ``assign_cores_naive``: executors in
+    index order onto nodes filled in order."""
+    n, m = len(cores), len(k)
+    X = np.zeros((n, m), dtype=np.int64)
+    free = np.array(cores, dtype=np.int64)
+    i = 0
+    for j in range(m):
+        need = int(k[j])
+        while need > 0:
+            if free[i] > 0:
+                take = min(need, int(free[i]))
+                X[i, j] += take
+                free[i] -= take
+                need -= take
+            else:
+                i = (i + 1) % n
+    return X
+
+
+def _fit(k, capacity):
+    """Trim ``k`` (largest first) until it fits ``capacity`` cores."""
+    k = np.array(k, dtype=np.int64)
+    while k.sum() > capacity:
+        k[int(np.argmax(k))] -= 1
+    return k
+
+
+@st.composite
+def _alg1_inputs(draw):
+    """(k, X_old, cores, state_bytes, local_node, data_intensity, phi) on
+    up to 5 nodes of 0..4 cores, some full.  State bytes come from a
+    small set (equal and zero values tie), and intensities from far
+    below to far above phi, so locality FAILs, φ doubles, and an
+    intensity of 1e30 outlasts every doubling (feasible=False)."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    cores = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.int64)
+    X_old = np.zeros((n, m), dtype=np.int64)
+    for i in range(n):
+        for j in range(m):
+            X_old[i, j] = draw(st.integers(0, int(cores[i] - X_old[i].sum())))
+    k = _fit(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), int(cores.sum()))
+    s = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 1e6, 3e6]), min_size=m, max_size=m)))
+    local = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
+    dint = np.array(
+        draw(st.lists(st.sampled_from([0.0, 1.0, 5.0, 1e3, 1e30]), min_size=m, max_size=m))
+    )
+    phi = draw(st.sampled_from([0.5, 2.0, 100.0]))
+    return k, X_old, cores, s, local, dint, phi
+
+
+def _case(k, X_old, cores, s, local, dint, phi):
+    """One hand-written ``_alg1_inputs`` draw."""
+    return (
+        np.array(k, dtype=np.int64),
+        np.array(X_old, dtype=np.int64),
+        np.array(cores, dtype=np.int64),
+        np.array(s, dtype=float),
+        np.array(local, dtype=np.int64),
+        np.array(dint, dtype=float),
+        phi,
+    )
+
+
+# intensive executor 0, home node 0 full of executor 1 (at its k): FAIL
+# until phi passes 1e3
+_FAIL = _case([2, 1], [[1, 1], [0, 0]], [2, 2], [1e6, 1e6], [0, 0], [1e3, 0.0], 1.0)
+# zero and equal state bytes: every candidate ties
+_TIES_ZERO = _case([3, 1], [[0, 2], [1, 0], [0, 0]], [4, 4, 4], [0.0, 0.0], [2, 0], [0.0, 0.0], 1.0)
+_TIES_EQUAL = _case(
+    [2, 2, 1], [[1, 1, 2], [0, 0, 0], [0, 1, 0]], [4, 4, 4], [1e6, 1e6, 1e6], [1, 1, 0],
+    [0.0, 0.0, 0.0], 1.0,
+)
+# intensive executor 0 on its full home node takes a core from donor 1
+_FULL_HOME = _case([2, 1], [[1, 1], [0, 1]], [2, 2], [1e6, 1e6], [0, 1], [1e3, 0.0], 1.0)
+# home node too small even after every doubling: locality dropped
+_INFEASIBLE = _case([2], [[1], [0]], [1, 3], [1e6], [0], [1e30], 1.0)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestArrayMatchesLoop:
+    """The array forms of Algorithm 1 and naive-EC packing against their
+    loop references."""
+
+    @given(_alg1_inputs())
+    @example(_FAIL)
+    @example(_TIES_ZERO)
+    @example(_TIES_EQUAL)
+    @example(_FULL_HOME)
+    @example(_INFEASIBLE)
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_matches_loop(self, inputs):
+        got = _outcome(_greedy, *inputs)
+        want = _outcome(_greedy_loop, *inputs)
+        if want is None or isinstance(want, type):
+            assert got is want
+        else:
+            assert np.array_equal(got, want)
+            assert got.dtype == np.int64
+
+    @given(_alg1_inputs())
+    @example(_FAIL)
+    @example(_TIES_ZERO)
+    @example(_TIES_EQUAL)
+    @example(_FULL_HOME)
+    @example(_INFEASIBLE)
+    @settings(max_examples=300, deadline=None)
+    def test_assign_cores_matches_loop(self, inputs):
+        got = _outcome(assign_cores, *inputs)
+        want = _outcome(_assign_cores_loop, *inputs)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            X, phi_used, feasible = want
+            assert np.array_equal(got.X, X)
+            assert got.phi_used == phi_used
+            assert got.feasible is feasible
+
+    def test_examples_cover_each_branch(self):
+        assert _greedy_loop(*_FAIL) is None
+        assert _assign_cores_loop(*_FAIL)[1:] == (1024.0, True)
+        assert _assign_cores_loop(*_FULL_HOME)[0][0].tolist() == [2, 0]
+        assert _assign_cores_loop(*_INFEASIBLE)[1:] == (np.inf, False)
+
+    @given(
+        cores=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+        k=st.lists(st.integers(0, 6), min_size=1, max_size=7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_naive_matches_loop(self, cores, k):
+        cores = np.array(cores, dtype=np.int64)
+        k = _fit(k, int(cores.sum()))
+        X_old = np.zeros((len(cores), len(k)), dtype=np.int64)
+        res = assign_cores_naive(k, X_old, cores, np.ones(len(k)))
+        assert np.array_equal(res.X, _naive_loop(k, cores))
+        assert res.X.dtype == np.int64
+
+
 class TestAssignCores:
     def _base(self, m=3, n=4):
         X_old = np.zeros((n, m), dtype=np.int64)
@@ -145,7 +377,7 @@ class TestAssignCores:
             np.zeros(2),
         )
         assert res.X[0, 0] == 3  # grew on node 0
-        assert res.migration_bytes == 0.0
+        assert migration_cost_bytes(res.X, X_old, np.array([1e6, 1e6])) == 0.0
 
     def test_data_intensive_stays_local(self):
         # Executor 0 is data-intensive: all its cores must be on node 0.
@@ -205,7 +437,7 @@ class TestAssignCores:
             np.zeros(1),
         )
         # forced to grow on node 1 → half the state migrates
-        assert res.migration_bytes == pytest.approx(50.0)
+        assert migration_cost_bytes(res.X, X_old, np.array([100.0])) == pytest.approx(50.0)
 
     @given(
         seed=st.integers(min_value=0, max_value=200),
@@ -257,13 +489,13 @@ class TestNaive:
         X_other[2, 1] = 3
         b = assign_cores_naive(k, X_other, simple_cluster(), np.ones(2))
         assert np.array_equal(a.X, b.X)
-        assert b.migration_bytes > 0  # …so it churns state
+        assert migration_cost_bytes(b.X, X_other, np.ones(2)) > 0  # …so it churns state
 
     def test_stable_k_stable_packing(self):
         k = np.array([4, 4])
         first = assign_cores_naive(k, np.zeros((4, 2), dtype=np.int64), simple_cluster(), np.ones(2))
         again = assign_cores_naive(k, first.X, simple_cluster(), np.ones(2))
-        assert again.migration_bytes == 0.0
+        assert migration_cost_bytes(again.X, first.X, np.ones(2)) == 0.0
 
     def test_k_shift_cascades(self):
         # Growing executor 0 shifts every later executor's packing.
@@ -272,7 +504,7 @@ class TestNaive:
         base = assign_cores_naive(k1, np.zeros((8, 4), dtype=np.int64), cluster, np.ones(4))
         k2 = np.array([4, 2, 2, 2])
         shifted = assign_cores_naive(k2, base.X, cluster, np.ones(4))
-        assert shifted.migration_bytes > 0
+        assert migration_cost_bytes(shifted.X, base.X, np.ones(4)) > 0
 
     def test_over_capacity_raises(self):
         with pytest.raises(ValueError):
