@@ -107,9 +107,10 @@ def _greedy(
     # data-intensive first (descending intensity): they are the most
     # constrained, so serve them while local cores are still available.
     under = under[np.argsort(-data_intensity[under], kind="stable")]
-    # C- >= 0, so a donor beats a free core on the same node never and
-    # ties it only after it: donors matter on full nodes alone.  The
-    # donor matrix is built when first needed and after each donation.
+    # C- >= 0 (state bytes are non-negative), so on a node with a free
+    # core no donor costs less, and a tie goes to the free core: donors
+    # matter on full nodes only.  Their matrix is built when first
+    # needed, and again after each donation.
     donors = don_cost = None
     for j in under:
         home = int(local_node[j])
