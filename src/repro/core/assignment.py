@@ -74,6 +74,19 @@ def migration_cost_bytes(X_new: np.ndarray, X_old: np.ndarray, state_bytes: np.n
     return float(np.maximum(0.0, shares(X_old) - shares(X_new)).sum())
 
 
+def _alloc_cost(s_j, X_j, x_ij) -> np.ndarray:
+    """C+_ij for nodes holding ``x_ij`` of executor j's ``X_j`` cores."""
+    if X_j > 0:
+        return s_j * (X_j - x_ij) / (X_j * (X_j + 1.0))
+    return np.zeros(len(x_ij))
+
+
+def _dealloc_cost(s_j, X_j, x_ij) -> np.ndarray:
+    """C-_ij for nodes holding ``x_ij`` of executor j's ``X_j`` cores;
+    ``X_j`` must exceed 1 (the last core is never taken)."""
+    return s_j * (X_j - x_ij) / (X_j * (X_j - 1.0))
+
+
 def _donors(
     X: np.ndarray, Xj: np.ndarray, k: np.ndarray, state_bytes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -82,8 +95,7 @@ def _donors(
     donor holds no core on the node)."""
     donors = np.flatnonzero((Xj > k) & (Xj > 1))
     Xd = X[:, donors]
-    Xjd = Xj[donors]
-    cost = state_bytes[donors] * (Xjd - Xd) / (Xjd * (Xjd - 1.0))
+    cost = _dealloc_cost(state_bytes[donors], Xj[donors], Xd)
     return donors, np.where(Xd > 0, cost, np.inf)
 
 
@@ -127,12 +139,8 @@ def _greedy(
             if intensive[j] and free[home] > 0:
                 i, c = home, 0  # the one candidate node has a free core
             else:
-                xj = Xj[j]
                 fr = free[rows]
-                if xj > 0:
-                    alloc = s_j * (xj - col[rows]) / (xj * (xj + 1.0))
-                else:
-                    alloc = np.zeros(len(fr))
+                alloc = _alloc_cost(s_j, Xj[j], col[rows])
                 # column 0: a free core; then one column per donor
                 cost = np.where(fr > 0, alloc, np.inf)[:, None]
                 if not fr.all():
@@ -169,8 +177,7 @@ def _greedy(
             cand = np.flatnonzero(col > 0)
             i = cand[0]
             if len(cand) > 1:  # then Xj[jp] > 1 and every C-_ij is finite
-                xjp = Xj[jp]
-                i = cand[(s_jp * (xjp - col[cand]) / (xjp * (xjp - 1.0))).argmin()]
+                i = cand[_dealloc_cost(s_jp, Xj[jp], col[cand]).argmin()]
             col[i] -= 1
             Xj[jp] -= 1
             free[i] += 1
