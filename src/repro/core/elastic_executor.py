@@ -13,10 +13,14 @@ streams:
   reassignments.  Tier 1 never changes, so the receiver hashes each
   distinct key once and remembers its shard; tier 2 is kept as one
   queue per shard, the one a new tuple of the shard joins.  Routing a
-  tuple is two lookups: key → shard, shard → queue.
+  tuple is two lookups: key → shard, shard → queue.  A queue entry is a
+  flat ``(shard, key, value, seq)`` tuple; :class:`Tuple` objects are
+  built only for emitted output.
 * **Tasks** — one data-processing "thread" per assigned CPU core, each
   with a FIFO pending queue, hosted by a per-node process that owns a
-  shared :class:`~repro.core.state.StateStore`.
+  shared :class:`~repro.core.state.StateStore`.  Every tuple of a shard
+  gets the store's one :class:`~repro.core.state.StateAccessor` for it,
+  dropped when the shard's state is exported to another node.
 * **Labeling-tuple protocol** — consistent shard reassignment: routing
   for the shard is paused, a labeling tuple is enqueued on the source
   task; tuples queued ahead of it are processed first (FIFO), then the
@@ -37,11 +41,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core import shards as shard_hash
-from repro.core.state import StateStore
+from repro.core.state import StateAccessor, StateStore
 from repro.substrate import cluster
 from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 
-#: sentinel payload marking a labeling tuple in a pending queue.
+#: sentinel in the key slot of a labeling tuple ``(shard, _LABEL)`` in a
+#: pending queue; data entries are ``(shard, key, value, seq)``.
 _LABEL = object()
 
 
@@ -60,27 +65,8 @@ class _Reassignment:
     shard: int
     src_task: int
     dst_task: int
-    #: ``(shard, tuple)`` pairs that arrived while the shard was paused
+    #: ``(shard, key, value, seq)`` entries that arrived while the shard was paused
     buffered: deque = field(default_factory=deque)
-
-
-class StateAccessor:
-    """Per-key state interface handed to user processing functions —
-    the ``ElasticBolt`` state API of §5.  The shard is created in the
-    store on the first ``get``/``put``, never by building the accessor,
-    so a tuple that touches no state leaves no shard behind."""
-
-    __slots__ = ("_store", "_shard")
-
-    def __init__(self, store: StateStore, shard_id: int) -> None:
-        self._store = store
-        self._shard = shard_id
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        return self._store.get(self._shard, key, default)
-
-    def put(self, key: Any, value: Any) -> None:
-        self._store.put(self._shard, key, value)
 
 
 @dataclass
@@ -238,13 +224,13 @@ class ElasticExecutor:
         buffered until the protocol completes.  A key is hashed on its
         first arrival only; a key that cannot be hashed raises every
         time and is not remembered."""
-        tup = Tuple(key, value, self._seq)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
         try:
             shard = self._shard_of[key]
         except KeyError:
             shard = self._shard_of[key] = shard_hash.key_to_shard(key, self.n_shards)
-        self._route[shard].append((shard, tup))
+        self._route[shard].append((shard, key, value, seq))
 
     # ------------------------------------------------------------------
     # consistent shard reassignment (§3.3)
@@ -273,10 +259,11 @@ class ElasticExecutor:
     def _cancel_reassignment(self, shard: int) -> None:
         """Undo a move that has not completed: its label leaves the
         source queue, its buffered tuples join the source queue in
-        arrival order, and its sync charge is refunded."""
+        arrival order, and its sync charge is refunded.  The label is
+        found by identity, so no user key's ``__eq__`` can match it."""
         r = self._pending_reassign.pop(shard)
         src = self._task(r.src_task).pending
-        src.remove((shard, _LABEL))
+        del src[next(i for i, e in enumerate(src) if e[1] is _LABEL and e[0] == shard)]
         src.extend(r.buffered)
         self._route[shard] = src
         self.sync_ms -= cluster.EC_SYNC_MS
@@ -313,16 +300,22 @@ class ElasticExecutor:
         processed = 0
         for t in targets:
             pending, store = t.pending, self._stores[t.node]
+            popleft, accessors = pending.popleft, store.accessors
             for _ in range(max_tuples):
                 if not pending:
                     break
-                shard, item = pending.popleft()
-                if item is _LABEL:
-                    self._complete_reassignment(shard)
+                entry = popleft()
+                if entry[1] is _LABEL:
+                    self._complete_reassignment(entry[0])
                     continue
-                out = fn(item.key, item.value, StateAccessor(store, shard))
+                shard, key, value, seq = entry
+                try:
+                    state = accessors[shard]
+                except KeyError:
+                    state = accessors[shard] = StateAccessor(store, shard)
+                out = fn(key, value, state)
                 if out is not None:
-                    emitted.append(Tuple(item.key, out, item.seq))
+                    emitted.append(Tuple(key, out, seq))
                 processed += 1
         self._gc_drained_tasks()
         return processed

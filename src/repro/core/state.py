@@ -8,9 +8,10 @@ nothing; only cross-process (cross-node) moves serialize and ship the
 shard's state.
 
 :class:`StateStore` models one process's store; :class:`ShardState`
-is the unit of migration.  Sizes are tracked in bytes so the engine and
-scheduler (whose cost model is byte-proportional, §4.2) can account
-migration costs exactly.
+is the unit of migration, and :class:`StateAccessor` a task's handle on
+one shard, reused until the shard leaves the process.  Sizes are
+tracked in bytes so the engine and scheduler (whose cost model is
+byte-proportional, §4.2) can account migration costs exactly.
 """
 from __future__ import annotations
 
@@ -35,6 +36,31 @@ class ShardState:
     data: dict[Any, Any] = field(default_factory=dict)
 
 
+class StateAccessor:
+    """Per-key state interface handed to user processing functions —
+    the ``ElasticBolt`` state API of §5 — for one shard of one store.
+    It binds to the shard's ``data`` dict on its first ``get``/``put``,
+    never when built, so a tuple that touches no state leaves no shard
+    behind; after that each call is one dict operation."""
+
+    __slots__ = ("_store", "_shard", "_data")
+
+    def __init__(self, store: StateStore, shard_id: int) -> None:
+        self._store = store
+        self._shard = shard_id
+        self._data: dict | None = None
+
+    def _bind(self) -> dict:
+        self._data = self._store.ensure_shard(self._shard).data
+        return self._data
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        return (self._data if self._data is not None else self._bind()).get(key, default)
+
+    def put(self, key: Any, value: Any) -> None:
+        (self._data if self._data is not None else self._bind())[key] = value
+
+
 class StateStore:
     """One process's shared KV store, keyed (shard_id, key).
 
@@ -47,6 +73,8 @@ class StateStore:
         self.process_id = process_id
         self.default_shard_bytes = default_shard_bytes
         self._shards: dict[int, ShardState] = {}
+        #: shard -> its reusable accessor, dropped when the shard is exported
+        self.accessors: dict[int, StateAccessor] = {}
 
     # -- shard lifecycle ------------------------------------------------
     def ensure_shard(self, shard_id: int) -> ShardState:
@@ -73,7 +101,9 @@ class StateStore:
         """Remove and return a shard's state for migration to another
         process.  Raises ``KeyError`` if the shard is not resident —
         migrating state you do not own is a protocol bug."""
-        return self._shards.pop(shard_id)
+        state = self._shards.pop(shard_id)
+        self.accessors.pop(shard_id, None)
+        return state
 
     def import_shard(self, state: ShardState) -> None:
         if state.shard_id in self._shards:

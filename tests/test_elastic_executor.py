@@ -110,7 +110,7 @@ class TestShardMemo:
         ex = make_exec(n_shards=n_shards)
         for k in keys + keys:
             ex.receive(k, None)
-        queued = [shard for shard, _ in ex.tasks[0].pending]
+        queued = [shard for shard, *_ in ex.tasks[0].pending]
         assert queued == [shard_hash.key_to_shard(k, n_shards) for k in keys + keys]
         assert len(ex._shard_of) == len(set(keys))
 
@@ -233,13 +233,37 @@ class TestScaling:
         ex.remove_core(t1)
         assert ex._pending_reassign == {}
         assert ex._route[0] is ex._task(0).pending
-        assert [item.value for _, item in ex._task(0).pending] == [0, 1, 2, 3]
+        assert [value for _, _, value, _ in ex._task(0).pending] == [0, 1, 2, 3]
         ex.receive(key, 4)
         assert ex.run_until_idle() == 5
         assert [t.value for t in ex.emitted] == [(n, n - 1) for n in range(1, 6)]
         assert ex.shard_to_task == [0] * 4
         assert (ex.n_reassignments, ex.sync_ms) == (0, 0.0)
         assert [t.task_id for t in ex.tasks] == [0]
+
+    def test_cancel_finds_label_by_identity(self):
+        """A key equal to anything must not be taken for the label when
+        a cancelled move withdraws it from the source queue."""
+
+        class EqualsAll(int):
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                return True
+
+        ex = make_exec(n_shards=4)
+        t1 = ex.add_core(0)
+        key = EqualsAll(key_of_shard(0, 4))
+        for i in range(3):
+            ex.receive(key, i)
+        ex.reassign_shard(0, t1)
+        ex.receive(key, 3)  # buffered at the receiver
+        ex.remove_core(t1)
+        assert [(shard, value, seq) for shard, _, value, seq in ex._task(0).pending] == [
+            (0, i, i) for i in range(4)
+        ]
+        assert ex.run_until_idle() == 4
+        assert [t.value for t in ex.emitted] == [(n, n - 1) for n in range(1, 5)]
 
 
 class TestConsistentReassignment:
@@ -355,6 +379,42 @@ class TestConsistentReassignment:
         assert not ex.store_on(0).has_shard(shard)
         assert not ex.store_on(1).has_shard(shard)
         assert ex.migrated_bytes == 0
+
+    def test_shard_moved_away_and_back_across_nodes(self):
+        """A → B → A with writes at every stop: each store's cached
+        accessor goes with the exported state, so no update lands in a
+        store the shard has left."""
+        ex = make_exec(n_shards=4)
+        remote = ex.add_core(1)
+        key = key_of_shard(0, 4)
+        received = 0
+        for dst in (remote, 0, remote, 0):
+            for _ in range(3):
+                ex.receive(key, received)
+                received += 1
+            ex.reassign_shard(0, dst)
+            ex.receive(key, received)  # buffered, then written at dst
+            received += 1
+            ex.run_until_idle()
+        assert [t.value[0] for t in ex.emitted] == list(range(1, received + 1))
+        local, far = ex.store_on(0), ex.store_on(1)
+        assert local.ensure_shard(0).data == {key: received}
+        assert not far.has_shard(0) and 0 not in far.accessors
+        assert local.accessors[0]._data is local.ensure_shard(0).data
+        assert ex.migrated_bytes == 4 * ex.shard_state_bytes
+
+    def test_stateless_fn_reuses_accessor_without_creating_shard(self):
+        """Every tuple of a shard gets the store's one accessor, and
+        reusing it without a ``get``/``put`` creates no shard."""
+        handles = []
+        ex = make_exec(n_shards=4, fn=lambda k, v, s: handles.append(s))
+        key = key_of_shard(2, 4)
+        for i in range(5):
+            ex.receive(key, i)
+        assert ex.run_until_idle() == 5
+        store = ex.store_on(0)
+        assert len(handles) == 5 and all(h is store.accessors[2] for h in handles)
+        assert list(store.shard_ids()) == []
 
     def test_outstanding_reassignment_without_label_raises(self):
         """Every outstanding reassignment has its label queued; one left
@@ -643,6 +703,16 @@ class ExecutorMachine(RuleBasedStateMachine):
             want = ex._task(owner).pending if r is None else r.buffered
             assert ex._route[shard] is want, shard
             assert r is None or r.src_task != r.dst_task, shard
+
+    @invariant()
+    def accessors_bound_to_resident_state(self):
+        """A bound cached accessor of node n refers to the shard state
+        resident in n's store: no handle survives an inter-node move."""
+        for store in self.ex._stores.values():
+            for shard, acc in store.accessors.items():
+                if acc._data is not None:
+                    assert store.has_shard(shard), shard
+                    assert acc._data is store.ensure_shard(shard).data, shard
 
     @invariant()
     def one_charge_per_move(self):
