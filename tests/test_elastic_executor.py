@@ -381,7 +381,7 @@ class TestConsistentReassignment:
         assert ex.migrated_bytes == 0
 
     def test_shard_moved_away_and_back_across_nodes(self):
-        """A → B → A with writes at every stop: each store's cached
+        """A → B → A, twice, with writes at every stop: each store's cached
         accessor goes with the exported state, so no update lands in a
         store the shard has left."""
         ex = make_exec(n_shards=4)
