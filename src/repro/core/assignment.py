@@ -16,7 +16,9 @@ executor's cores):
 
 Free (unassigned) cores are treated as a zero-cost donor.  The outer
 driver :func:`assign_cores` doubles ``phi`` and retries whenever the
-greedy fails, as prescribed at the end of §4.2.
+greedy fails, as prescribed at the end of §4.2; a doubling that leaves
+the set of data-intensive executors as it was is not retried, because
+the greedy would fail on it again.
 
 Each added core is one ``argmin`` over a cost matrix whose rows are the
 candidate nodes (the executor's local node alone when it is
@@ -209,10 +211,16 @@ def assign_cores(
     if k.sum() > cores_per_node.sum():
         raise ValueError("allocation exceeds cluster capacity; cap k first")
     cur_phi = phi
+    failed = None  # the data-intensive set of the last failed run
     for _ in range(MAX_PHI_DOUBLINGS):
-        X = _greedy(k, X_old, cores_per_node, state_bytes, local_node, data_intensity, cur_phi)
-        if X is not None:
-            return AssignmentResult(X=X, phi_used=cur_phi, feasible=True)
+        # _greedy reads phi only through this set, so a run on the set
+        # that last failed would fail again: skip it, doubling phi still
+        intensive = data_intensity > cur_phi
+        if failed is None or (intensive != failed).any():
+            X = _greedy(k, X_old, cores_per_node, state_bytes, local_node, data_intensity, cur_phi)
+            if X is not None:
+                return AssignmentResult(X=X, phi_used=cur_phi, feasible=True)
+            failed = intensive
         cur_phi *= 2.0
     X = _greedy(k, X_old, cores_per_node, state_bytes, local_node, np.zeros_like(data_intensity), np.inf)
     if X is None:

@@ -32,6 +32,14 @@ still summed over that operator's own slice, and remote NIC demand over
 each (operator, home node) group in task order, so the fused pass adds
 in the same order as one operator at a time would.
 
+Step 5 skips the work of state that does not exist, with the outputs
+of a full pass: residual admission runs only when some shard holds
+residual tuples, residual aging and shedding only when some are left
+after admission, and the pause scaling and pause latency only when some
+shard is paused (only shard moves pause shards, and only an overloaded
+task leaves residuals).  The per-task capacity is kept per layout and
+recomputed in an epoch only when an operator is stalled.
+
 Latency is an Eq. 1-style weighted average over operators of queue-wait
 + service + protocol-pause time.  It is a queueing *model* of latency —
 absolute milliseconds are not the claim; orderings and orders of
@@ -249,6 +257,7 @@ class BaseSim:
         self._task_off = np.r_[0, np.cumsum(np.bincount(self._task_op, minlength=n_ops))]
         self._shard_task_off = self._task_off[self._shard_op]
         self._task_cost = self._cost[self._task_op]
+        self._task_cap = (self._core_cap / self._cost)[self._task_op]  # tuples per epoch
         self._queue_cap = (QUEUE_CAP_MS / self._cost)[self._task_op]
         for i, name in enumerate(self._order):
             rt = self.ops[name]
@@ -371,8 +380,7 @@ class BaseSim:
         hot = a_t > 0
         if not hot.any():
             return 1.0
-        cap_t = (self._core_cap / self._cost)[self._task_op]
-        g = float((cap_t / np.maximum(a_t, _EPS))[hot].min())
+        g = float((self._task_cap / np.maximum(a_t, _EPS))[hot].min())
         return max(0.0, min(1.0, g))
 
     # ------------------------------------------------------------------
@@ -387,7 +395,16 @@ class BaseSim:
         m: EpochMetrics,
     ) -> tuple[np.ndarray, list[float], list[float]]:
         """Advance every operator by one epoch.  Returns (next inbox,
-        processed tuples per operator, latency numerator per operator)."""
+        processed tuples per operator, latency numerator per operator).
+
+        Passes over state that is absent do not run: residual admission
+        (and the carried-wait term) when no shard holds a residual on
+        entry, residual aging and shedding when none is left after
+        admission, and the pause scaling and pause-latency term when no
+        shard is paused.  Each skipped term is exactly 0.0 in the full
+        pass, so the outputs are bit-identical to it; an array of zeros
+        of either sign counts as absent (the pause reset always runs, so
+        a -0.0 pause leaves +0.0 as a full pass does)."""
         epoch_ms = EPOCH_S * 1000.0
         assign = self._global_assign()
         n_tasks = len(self._task_op)
@@ -397,7 +414,10 @@ class BaseSim:
         )
 
         # ---- per-task capacity (tuples), less any operator stall ----
-        cap_t = ((self._core_cap * (1.0 - stall)) / self._cost)[self._task_op]
+        if stall.any():
+            cap_t = ((self._core_cap * (1.0 - stall)) / self._cost)[self._task_op]
+        else:
+            cap_t = self._task_cap
 
         # ---- NIC throttling + remote traffic accounting ----
         a_t = np.bincount(assign, weights=a, minlength=n_tasks)
@@ -412,6 +432,7 @@ class BaseSim:
             if over.any():
                 factor = np.ones(n_groups)
                 factor[over] = nic_cap / demand[over]
+                cap_t = cap_t.copy()  # the base capacity is kept per layout
                 cap_t[members] *= factor[group_of]
             m.remote_bytes = _add_in_order(m.remote_bytes, np.minimum(demand, nic_cap))
 
@@ -419,24 +440,32 @@ class BaseSim:
         q_t = np.bincount(assign, weights=queue_n, minlength=n_tasks)
         backlog_t = q_t.copy()  # carried from previous epochs: drains first
         room_t = np.maximum(0.0, self._queue_cap - q_t)
-        r_t = np.bincount(assign, weights=resid_n, minlength=n_tasks)
-        adm_r_t = np.minimum(r_t, room_t)
-        adm_a_t = np.minimum(a_t, room_t - adm_r_t)
-        fr = (adm_r_t / np.maximum(r_t, _EPS))[assign]
-        fa = (adm_a_t / np.maximum(a_t, _EPS))[assign]
-        adm_r = resid_n * fr
-        adm_a = a * fa
-        adm_wait = resid_wait * fr  # ms·tuples carried by admitted residual
-        resid_wait *= 1.0 - fr
-        resid_n -= adm_r
+        # With no residual every residual term is zero: fr = 0 admits
+        # nothing and leaves resid_wait as it is.
+        had_resid = resid_n.any()
+        if had_resid:
+            r_t = np.bincount(assign, weights=resid_n, minlength=n_tasks)
+            adm_r_t = np.minimum(r_t, room_t)
+            room_t = room_t - adm_r_t
+            fr = (adm_r_t / np.maximum(r_t, _EPS))[assign]
+            adm_r = resid_n * fr
+            adm_wait = resid_wait * fr  # ms·tuples carried by admitted residual
+            resid_wait *= 1.0 - fr
+            resid_n -= adm_r
+            queue_n += adm_r
+            carried_wait = np.bincount(assign, weights=adm_wait, minlength=n_tasks)
+        adm_a_t = np.minimum(a_t, room_t)
+        adm_a = a * (adm_a_t / np.maximum(a_t, _EPS))[assign]
         resid_n += a - adm_a
-        queue_n += adm_r
         queue_n += adm_a
-        carried_wait = np.bincount(assign, weights=adm_wait, minlength=n_tasks)
 
         # ---- processing ----
-        pause_frac = np.clip(pause_ms / epoch_ms, 0.0, 1.0)
-        avail = queue_n * (1.0 - pause_frac)
+        # Pauses only hold tuples back; with none, avail is the queue.
+        paused = pause_ms.any()
+        if paused:
+            avail = queue_n * (1.0 - np.minimum(pause_ms / epoch_ms, 1.0))
+        else:
+            avail = queue_n  # read only before queue_n is drained below
         avail_t = np.bincount(assign, weights=avail, minlength=n_tasks)
         proc_t = np.minimum(avail_t, cap_t)
         f_t = proc_t / np.maximum(avail_t, _EPS)
@@ -453,36 +482,44 @@ class BaseSim:
         # already accumulated by residual tuples admitted this epoch.
         cost_t = self._task_cost
         rate_t = np.maximum(cap_t / epoch_ms, _EPS)  # tuples per ms
-        adm_t = adm_r_t + adm_a_t
+        adm_t = adm_r_t + adm_a_t if had_resid else adm_a_t
         rho_t = np.minimum(adm_t / np.maximum(cap_t, _EPS), 1.0 - 1e-9)
         wait_mm1 = cost_t * rho_t / (1.0 - rho_t)
         wait_batch = 0.5 * adm_t / rate_t
         wait_t = backlog_t / rate_t + np.minimum(wait_mm1, wait_batch)
         lat_t = proc_t * (wait_t + cost_t)
-        lat_s = proc_s * np.minimum(pause_ms, epoch_ms)
-
-        # ---- residual aging + shedding ----
-        resid_wait += resid_n * epoch_ms
-        over_s = np.maximum(0.0, resid_n - self._resid_cap)
-        keep = 1.0 - over_s / np.maximum(resid_n, _EPS)
-        resid_wait *= keep
-        resid_n -= over_s
-
-        # pauses are one-shot
+        if paused:
+            lat_s = proc_s * np.minimum(pause_ms, epoch_ms)
+        # pauses are one-shot; the reset also runs with none, so that a
+        # pause of -0.0 reads +0.0 afterwards, as a full pass leaves it
         pause_ms[:] = 0.0
 
+        # ---- residual aging + shedding ----
+        resid_left = resid_n.any()
+        if resid_left:
+            resid_wait += resid_n * epoch_ms
+            over_s = np.maximum(0.0, resid_n - self._resid_cap)
+            keep = 1.0 - over_s / np.maximum(resid_n, _EPS)
+            resid_wait *= keep
+            resid_n -= over_s
+
         # ---- per-operator totals, each over the operator's own slice ----
+        # A term of a pass that did not run is exactly 0.0 and is left out.
         processed, lat = [], []
         so, to = self._shard_off.tolist(), self._task_off.tolist()
         for i, name in enumerate(self._order):
             ss, ts = slice(so[i], so[i + 1]), slice(to[i], to[i + 1])
             processed.append(float(proc_s[ss].sum()))
-            lat.append(
-                float(lat_t[ts].sum()) + float(lat_s[ss].sum()) + float(carried_wait[ts].sum())
-            )
-            shed = float(over_s[ss].sum())
-            self.ops[name].shed_total += shed
-            m.shed += shed
+            lat_i = float(lat_t[ts].sum())
+            if paused:
+                lat_i += float(lat_s[ss].sum())
+            if had_resid:
+                lat_i += float(carried_wait[ts].sum())
+            lat.append(lat_i)
+            if resid_left:
+                shed = float(over_s[ss].sum())
+                self.ops[name].shed_total += shed
+                m.shed += shed
 
         # ---- outputs per key, into the downstream operators' rows ----
         seen = (offered > 0)[:, None]

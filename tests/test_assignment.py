@@ -1,10 +1,13 @@
 """Unit tests for Algorithm 1 (CPU-to-executor assignment, §4.2) and
 the naive-EC assignment."""
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import assignment
 from repro.core.assignment import (
     MAX_PHI_DOUBLINGS,
     _greedy,
@@ -253,6 +256,12 @@ _TIES_EQUAL = _case(
 _FULL_HOME = _case([2, 1], [[1, 1], [0, 1]], [2, 2], [1e6, 1e6], [0, 1], [1e3, 0.0], 1.0)
 # home node too small even after every doubling: locality dropped
 _INFEASIBLE = _case([2], [[1], [0]], [1, 3], [1e6], [0], [1e30], 1.0)
+# _FAIL plus executor 2 (intensity 5) on node 1: the data-intensive set
+# is {0, 2} up to phi = 4, {0} up to 512 and empty from 1024, so only
+# three of the eleven phi values need a run of the greedy
+_REPEATED = _case(
+    [2, 1, 1], [[1, 1, 0], [0, 0, 1]], [2, 2], [1e6, 1e6, 1e6], [0, 0, 1], [1e3, 0.0, 5.0], 1.0
+)
 
 
 def _outcome(f, *args):
@@ -288,6 +297,7 @@ class TestArrayMatchesLoop:
     @example(_TIES_EQUAL)
     @example(_FULL_HOME)
     @example(_INFEASIBLE)
+    @example(_REPEATED)
     @settings(max_examples=300, deadline=None)
     def test_assign_cores_matches_loop(self, inputs):
         got = _outcome(assign_cores, *inputs)
@@ -305,6 +315,20 @@ class TestArrayMatchesLoop:
         assert _assign_cores_loop(*_FAIL)[1:] == (1024.0, True)
         assert _assign_cores_loop(*_FULL_HOME)[0][0].tolist() == [2, 0]
         assert _assign_cores_loop(*_INFEASIBLE)[1:] == (np.inf, False)
+
+    def test_unchanged_set_not_rerun(self):
+        """A doubling that keeps the data-intensive set skips the greedy
+        run, which would fail again, and still doubles phi."""
+        runs = []
+
+        def counted(*args):
+            runs.append(args[-1])
+            return _greedy(*args)
+
+        with patch.object(assignment, "_greedy", counted):
+            res = assign_cores(*_REPEATED)
+        assert runs == [1.0, 8.0, 1024.0]
+        assert (res.phi_used, res.feasible) == _assign_cores_loop(*_REPEATED)[1:] == (1024.0, True)
 
     @given(
         cores=st.lists(st.integers(0, 4), min_size=1, max_size=6),

@@ -10,6 +10,7 @@ metrics, bit for bit: the fused pass sums each operator's float totals
 over the operator's own slice, and each remote (operator, home node)
 group's NIC demand in task order, so it adds in the same order.
 """
+import itertools
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -234,6 +235,15 @@ def _random_sim(cls, p):
     sim._resid_n[:] = rng.exponential(p["load"], n_shards) * (rng.random(n_shards) < 0.5)
     sim._resid_wait[:] = sim._resid_n * rng.uniform(0.0, 3000.0, n_shards)
     sim._pause_ms[:] = rng.uniform(0.0, 2000.0, n_shards) * (rng.random(n_shards) < 0.3)
+    if p["idle"]:
+        # an idle array holds zeros of either sign, which the engine's
+        # guards read as absent
+        signed_zeros = np.where(rng.random(n_shards) < 0.5, -0.0, 0.0)
+        if "resid" in p["idle"]:
+            sim._resid_n[:] = signed_zeros
+            sim._resid_wait[:] = 0.0
+        if "pause" in p["idle"]:
+            sim._pause_ms[:] = signed_zeros[::-1]
     dist = rng.random(sim._last_dist.shape)
     sim._last_dist[:] = dist / dist.sum(axis=1, keepdims=True)
     if isinstance(sim, ResourceCentricSim):
@@ -262,19 +272,30 @@ def _epoch(cls, p):
     return sim, m, next_inbox
 
 
+def _bits(x):
+    """The bytes of ``x``: unlike ``==``, they tell -0.0 from +0.0."""
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
 def _assert_same_epoch(cls, p):
     got, m_got, next_got = _epoch(cls, p)
     ref, m_ref, next_ref = _epoch(_with_reference(cls), p)
-    assert vars(m_got) == vars(m_ref)
-    assert np.array_equal(next_got, next_ref)
-    assert np.array_equal(got._last_dist, ref._last_dist)
+    assert {k: _bits(v) for k, v in vars(m_got).items()} == {
+        k: _bits(v) for k, v in vars(m_ref).items()
+    }
+    assert _bits(next_got) == _bits(next_ref)
+    assert _bits(got._last_dist) == _bits(ref._last_dist)
     for name in got._order:
         a, b = got.ops[name], ref.ops[name]
         for attr in STATE:
-            assert np.array_equal(getattr(a, attr), getattr(b, attr)), (name, attr)
-        assert a.shed_total == b.shed_total
+            assert _bits(getattr(a, attr)) == _bits(getattr(b, attr)), (name, attr)
+        assert _bits(a.shed_total) == _bits(b.shed_total)
     return got, m_ref
 
+
+#: arrays drawn idle: none, the residuals, the pauses, or both
+params_idle = [(), ("resid",), ("pause",), ("resid", "pause")]
 
 params = st.fixed_dictionaries(
     {
@@ -289,6 +310,7 @@ params = st.fixed_dictionaries(
         "rate": st.sampled_from([0.2, 5.0, 200.0]),
         "crowd": st.booleans(),
         "now_s": st.sampled_from([0.0, 7.0]),
+        "idle": st.sampled_from(params_idle),
     }
 )
 
@@ -307,7 +329,7 @@ class TestFusedEpochMatchesLoop:
         p = {
             "seed": 39, "n_ops": 3, "n_nodes": 3, "n_keys": 60, "nic": 2e3,
             "queue_cap_ms": 50.0, "resid_cap_ms": 20.0, "load": 30.0, "rate": 200.0,
-            "crowd": True, "now_s": 7.0,
+            "crowd": True, "now_s": 7.0, "idle": (),
         }
         sim, inbox = _random_sim(ResourceCentricSim, p)
         first = sim._order[0]
@@ -327,6 +349,29 @@ class TestFusedEpochMatchesLoop:
         assert m.remote_bytes < m.throttle_g * a_t[crowd].sum() * link
         assert m.shed > 0
         assert m.n_shard_moves > 0
+
+    def test_guards_covered(self):
+        """Drawn states that take both sides of each data-plane guard:
+        residuals on entry or none, each with residuals left after
+        admission or none, pauses or none, a stalled operator or none."""
+        seen = set()
+        for cls, idle, load, queue_cap_ms, rate in itertools.product(
+            (StaticSim, ResourceCentricSim), params_idle, (0.5, 400.0), (50.0, 4000.0), (0.2, 200.0)
+        ):
+            p = {
+                "seed": 5, "n_ops": 2, "n_nodes": 3, "n_keys": 40, "nic": 125e6,
+                "queue_cap_ms": queue_cap_ms, "resid_cap_ms": 8000.0, "load": load,
+                "rate": rate, "crowd": False, "now_s": 7.0, "idle": idle,
+            }
+            with _caps(p):
+                before, _ = _random_sim(cls, p)
+                entry = (bool(before._resid_n.any()), bool(before._pause_ms.any()))
+                stalled = bool(before._repartition(p["now_s"], EpochMetrics(epoch=0)).any())
+            got, _ = _assert_same_epoch(cls, p)
+            seen.add((entry[0], bool(got._resid_n.any()), entry[1], stalled))
+        assert {(r, left) for r, left, _, _ in seen} == set(itertools.product((False, True), repeat=2))
+        assert {paused for _, _, paused, _ in seen} == {False, True}
+        assert {stalled for _, _, _, stalled in seen} == {False, True}
 
 
 # ---------------------------------------------------------------------------

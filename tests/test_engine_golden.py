@@ -18,6 +18,7 @@ import pytest
 from repro.engine.simulator import EngineConfig
 from repro.experiments.micro import PARADIGMS, micro_topology
 from repro.experiments.table2 import sse_engine_inputs
+from repro.paradigms import elasticutor
 from repro.streams.microbench import micro_trace
 from repro.substrate import cluster
 from repro.substrate.cluster import ClusterSpec
@@ -74,3 +75,36 @@ def run_digest(paradigm, workload):
 @pytest.mark.parametrize("paradigm", list(PARADIGMS))
 def test_outputs_match_recorded_digest(paradigm, workload):
     assert run_digest(paradigm, workload) == GOLDEN[(paradigm, workload)]
+
+
+class _TieOrder:
+    """NumPy as ``elasticutor`` sees it, except that ``argsort`` without a
+    ``kind`` puts equal keys in a fixed order: first index first, or
+    with ``reverse`` last index first."""
+
+    def __init__(self, reverse: bool) -> None:
+        self.reverse = reverse
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, a, kind=None):
+        if kind is not None:
+            return np.argsort(a, kind=kind)
+        if self.reverse:
+            return len(a) - 1 - np.argsort(a[::-1], kind="stable")
+        return np.argsort(a, kind="stable")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="orphan re-homing sorts loads with an unstable argsort, so the "
+    "order of equal loads, and with it naive-EC's output, depends on "
+    "NumPy's sort implementation (ROADMAP item 7)",
+)
+def test_naive_ec_independent_of_tie_order():
+    digests = []
+    for reverse in (False, True):
+        with patch.object(elasticutor, "np", _TieOrder(reverse)):
+            digests.append(run_digest("naive-ec", "sse"))
+    assert digests[0] == digests[1]
