@@ -3,11 +3,17 @@
 Simulates a topology on a modeled cluster (its shape a
 :class:`ClusterSpec`, its costs those of :mod:`repro.substrate.cluster`)
 in discrete epochs of ``EPOCH_S``.  All operators share one shard space:
-each operator's shards, and separately its tasks, occupy one contiguous
-range of engine-wide arrays, in topological order.  Within an epoch the
-operators do not feed each other (outputs reach the downstream
-operators one epoch later), so every step below is one set of array
-operations over all operators at once.  Per epoch the engine:
+each operator's shards, its executors and its tasks each occupy one
+contiguous range of engine-wide arrays, in topological order, and these
+arrays are the only layout.  Key → shard is static (``_route_idx``), as
+in §3.1; only shard → task (``_shard_task``, engine-wide task ids) and
+the tasks themselves (``_task_node``, ``_task_exec``) change.  Each
+paradigm decides a key's shard and a shard's executor
+(:meth:`BaseSim._init_layout`); :meth:`BaseSim.setup` places the
+executors.  Within an epoch the operators do not feed each other
+(outputs reach the downstream operators one epoch later), so every step
+below is one set of array operations over all operators at once.  Per
+epoch the engine:
 
 1. routes the inbox — one row of per-key input counts per operator —
    to shards with one ``bincount``, using the same XXH64 hashes the
@@ -84,36 +90,15 @@ class EngineConfig:
 
 @dataclass
 class OpRuntime:
-    """One operator's view of the engine state.
+    """One operator's per-shard state: views into the engine-wide
+    per-shard arrays (write them in place), in *tuples* (per-operator
+    CPU cost is uniform, so work ∝ tuples), and the tuples it has shed."""
 
-    ``tasks_node[t]`` is the node hosting task ``t``; ``tasks_exec[t]``
-    the elastic executor owning it (for static/RC, task == executor).
-    ``shard_assign[s]`` maps operator-global shard → task.  Queues and
-    residuals are in *tuples* (per-operator CPU cost is uniform, so
-    work ∝ tuples).
-
-    Once :meth:`BaseSim.setup` has run, ``shard_assign``, ``queue_n``,
-    ``resid_n``, ``resid_wait`` and ``pause_ms`` are views into the
-    engine-wide per-shard arrays (write them in place), and
-    ``tasks_node`` / ``tasks_exec`` are re-bound whenever the task
-    layout changes.
-    """
-
-    op: OperatorSpec
-    key_to_shard: np.ndarray  # (n_keys,) operator-global shard of each key
-    tasks_node: np.ndarray  # (n_tasks,) node id
-    tasks_exec: np.ndarray  # (n_tasks,) executor id
-    shard_assign: np.ndarray  # (n_shards,) task index
-    exec_home: np.ndarray  # (n_executors,) main-process node per executor
-    queue_n: np.ndarray = field(default=None)  # type: ignore[assignment]
-    resid_n: np.ndarray = field(default=None)  # type: ignore[assignment]
-    resid_wait: np.ndarray = field(default=None)  # type: ignore[assignment]
-    pause_ms: np.ndarray = field(default=None)  # type: ignore[assignment]
+    queue_n: np.ndarray
+    resid_n: np.ndarray
+    resid_wait: np.ndarray
+    pause_ms: np.ndarray
     shed_total: float = 0.0
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks_node)
 
 
 class BaseSim:
@@ -127,77 +112,35 @@ class BaseSim:
         self.spec = self.cfg.spec
         self.ops: dict[str, OpRuntime] = {}
         self._order = topology.topo_order()
-        self._core_split = self._split_cores()
-        self._rr_cursor = 0
 
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
-    def _split_cores(self) -> dict[str, int]:
-        """Divide the cluster's cores across operators proportionally to
-        their expected CPU demand (input-rate share × per-tuple cost) —
-        the favourable provisioning the paper grants the baselines."""
-        rel_rate: dict[str, float] = {}
-        for name in self._order:
-            ups = self.topology.upstreams(name)
-            if not ups:
-                rel_rate[name] = 1.0
-            else:
-                rel_rate[name] = sum(
-                    rel_rate[u] * self.topology.operator(u).selectivity for u in ups
-                )
-        demand = {
-            name: rel_rate[name] * self.topology.operator(name).cpu_cost_ms
-            for name in self._order
-        }
-        total = sum(demand.values()) or 1.0
-        cores = {
-            name: max(1, int(round(self.spec.total_cores * d / total)))
-            for name, d in demand.items()
-        }
-        # trim overshoot from the largest allocations
-        while sum(cores.values()) > self.spec.total_cores:
-            big = max(cores, key=lambda n: cores[n])
-            if cores[big] <= 1:
-                break
-            cores[big] -= 1
-        return cores
-
-    def _take_cores(self, n: int) -> np.ndarray:
-        """Reserve ``n`` cores round-robin across nodes (the paper's
-        executor placement).  Returns node ids.  Every node has the same
-        core count, so no node fills before the whole cluster does."""
-        start = self._rr_cursor
-        if start + n > self.spec.total_cores:
-            raise RuntimeError("cluster out of cores during layout")
-        self._rr_cursor += n
-        return (start + np.arange(n, dtype=np.int64)) % self.spec.n_nodes
-
-    def n_upstream_executors(self, name: str) -> int:
-        """Executor parallelism upstream of ``name`` — external spout
-        for sources, upstream operators' task counts otherwise."""
-        ups = self.topology.upstreams(name)
-        if not ups:
-            return SPOUT_EXECUTORS
-        return sum(self.ops[u].n_tasks for u in ups)
-
     def setup(self, n_keys: int) -> None:
-        """Lay out every operator, then gather the layouts into the
-        engine-wide shard, task and executor arrays."""
-        for name in self._order:
-            op = self.topology.operator(name)
-            self.ops[name] = self._init_layout(op, n_keys)
-        rts = [self.ops[name] for name in self._order]
-        n_ops = len(rts)
+        """Lay out every operator and build the engine-wide arrays, and
+        with them all per-run state.  Each executor starts with one task
+        on its home node: engine-wide executor ``j`` on node
+        ``j mod n_nodes`` (the paper's round-robin placement), so no task
+        starts remote and no node fills before the whole cluster does."""
+        ops = [self.topology.operator(name) for name in self._order]
+        layouts = [self._init_layout(op, n_keys) for op in ops]
+        y = [n_exec for _, _, n_exec in layouts]
+        n_execs = sum(y)
+        if n_execs > self.spec.total_cores:
+            raise ValueError(
+                f"{n_execs} executors need at least one core each but the "
+                f"cluster has {self.spec.total_cores}"
+            )
+        n_ops = len(ops)
         idx = np.arange(n_ops)
-        z = [rt.op.total_shards for rt in rts]
+        z = [op.total_shards for op in ops]
         self._shard_off = np.r_[0, np.cumsum(z)]
         self._shard_op = np.repeat(idx, z)
         self._route_idx = (
-            np.stack([rt.key_to_shard for rt in rts]) + self._shard_off[:-1, None]
+            np.stack([key_shard for key_shard, _, _ in layouts]) + self._shard_off[:-1, None]
         ).ravel()
         n_shards = int(self._shard_off[-1])
-        self._cost = np.array([rt.op.cpu_cost_ms for rt in rts], dtype=float)
+        self._cost = np.array([op.cpu_cost_ms for op in ops], dtype=float)
         self._link_bytes = np.array(
             [self.topology.link_bytes_per_tuple(name) for name in self._order], dtype=float
         )
@@ -211,29 +154,27 @@ class BaseSim:
         self._resid_n = np.zeros(n_shards)
         self._resid_wait = np.zeros(n_shards)
         self._pause_ms = np.zeros(n_shards)
-        self._shard_task = np.concatenate([rt.shard_assign for rt in rts]).astype(np.int64)
-        for i, rt in enumerate(rts):
+        self.ops = {}
+        for i, name in enumerate(self._order):
             sl = slice(self._shard_off[i], self._shard_off[i + 1])
-            rt.queue_n = self._queue_n[sl]
-            rt.resid_n = self._resid_n[sl]
-            rt.resid_wait = self._resid_wait[sl]
-            rt.pause_ms = self._pause_ms[sl]
-            rt.shard_assign = self._shard_task[sl]
+            self.ops[name] = OpRuntime(
+                self._queue_n[sl], self._resid_n[sl], self._resid_wait[sl], self._pause_ms[sl]
+            )
 
-        y = [len(rt.exec_home) for rt in rts]
         self._exec_off = np.r_[0, np.cumsum(y)]
         self._exec_op = np.repeat(idx, y)
-        self._exec_home = np.concatenate([rt.exec_home for rt in rts])
-        self._set_tasks(
-            np.concatenate([rt.tasks_node for rt in rts]),
-            np.concatenate([rt.tasks_exec + self._exec_off[i] for i, rt in enumerate(rts)]),
+        self._exec_home = np.arange(n_execs, dtype=np.int64) % self.spec.n_nodes
+        # one task per executor, so a task's id is its executor's
+        self._shard_task = np.concatenate(
+            [shard_exec + self._exec_off[i] for i, (_, shard_exec, _) in enumerate(layouts)]
         )
+        self._set_tasks(self._exec_home.copy(), np.arange(n_execs, dtype=np.int64))
 
         pos = {name: i for i, name in enumerate(self._order)}
         self._sources = [pos[s] for s in self.topology.sources()]
         self._is_source = np.zeros(n_ops, dtype=bool)
         self._is_source[self._sources] = True
-        self._sel = np.array([[rt.op.selectivity] for rt in rts])
+        self._sel = np.array([[op.selectivity] for op in ops])
         # The next inbox of an operator adds its upstreams' outputs in
         # topological order; feed r pairs each operator with its r-th.
         ups: dict[int, list[int]] = {}
@@ -248,22 +189,16 @@ class BaseSim:
     def _set_tasks(self, task_node: np.ndarray, task_exec: np.ndarray) -> None:
         """Install a task layout: node and engine-wide executor of each
         task, with every operator's tasks contiguous and in operator
-        order.  The caller keeps ``_shard_task`` (operator-local task of
+        order.  The caller keeps ``_shard_task`` (engine-wide task of
         each shard) consistent with it."""
         n_ops = len(self._order)
         self._task_node = task_node
         self._task_exec = task_exec
         self._task_op = self._exec_op[task_exec]
         self._task_off = np.r_[0, np.cumsum(np.bincount(self._task_op, minlength=n_ops))]
-        self._shard_task_off = self._task_off[self._shard_op]
         self._task_cost = self._cost[self._task_op]
         self._task_cap = (self._core_cap / self._cost)[self._task_op]  # tuples per epoch
         self._queue_cap = (QUEUE_CAP_MS / self._cost)[self._task_op]
-        for i, name in enumerate(self._order):
-            rt = self.ops[name]
-            sl = slice(self._task_off[i], self._task_off[i + 1])
-            rt.tasks_node = task_node[sl]
-            rt.tasks_exec = task_exec[sl] - self._exec_off[i]
         # remote tasks grouped by (operator, home node), each group in
         # task order; groups of one size are summed as rows of a matrix,
         # and a row sum adds in the same order as the group's own sum()
@@ -284,11 +219,10 @@ class BaseSim:
         link = self._link_bytes[self._task_op]
         self._nic = (members, group_of, starts.size, by_size, link)
 
-    def _global_assign(self) -> np.ndarray:
-        """Engine-wide task index of every shard."""
-        return self._shard_task + self._shard_task_off
-
-    def _init_layout(self, op: OperatorSpec, n_keys: int) -> OpRuntime:
+    def _init_layout(self, op: OperatorSpec, n_keys: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """What the paradigm decides of ``op``'s layout: each key's
+        operator-global shard, each shard's operator-local executor, and
+        the number of executors."""
         raise NotImplementedError
 
     def _elasticity(
@@ -376,7 +310,7 @@ class BaseSim:
         the queueing delay charged by the data plane), whereas
         persistent per-task overload throttles the spout itself.
         """
-        a_t = np.bincount(self._global_assign(), weights=arrivals, minlength=len(self._task_op))
+        a_t = np.bincount(self._shard_task, weights=arrivals, minlength=len(self._task_op))
         hot = a_t > 0
         if not hot.any():
             return 1.0
@@ -406,7 +340,7 @@ class BaseSim:
         of either sign counts as absent (the pause reset always runs, so
         a -0.0 pause leaves +0.0 as a full pass does)."""
         epoch_ms = EPOCH_S * 1000.0
-        assign = self._global_assign()
+        assign = self._shard_task
         n_tasks = len(self._task_op)
         a = arrivals
         queue_n, resid_n, resid_wait, pause_ms = (

@@ -43,14 +43,13 @@ def run_table1(
     for pname in ("static", "resource-centric", "elasticutor"):
         sim = PARADIGMS[pname](topo, EngineConfig(spec=spec, warmup_epochs=5))
         result = sim.run(trace)
-        rt = sim.ops["calculator"]
         # operator-level partitioning dynamic?  static/RC: shard→task IS
         # the operator-level mapping; EC: shard→executor is fixed by
         # construction (shard // z), only shard→task inside an executor
         # moves.
         if pname == "elasticutor":
             op_level_moves = 0  # key→executor is a pure hash, immutable
-            max_cores = int(np.bincount(rt.tasks_exec).max())
+            max_cores = int(np.bincount(sim._task_exec).max())
             # each shard move is an independent local operation
             n_ops = max(1, sum(e.n_shard_moves for e in result.epochs))
         else:

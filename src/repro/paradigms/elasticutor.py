@@ -43,7 +43,7 @@ from repro.core.assignment import AssignmentResult, assign_cores
 from repro.core.load_balancer import rebalance  # noqa: F401
 from repro.core.scheduler import T_MAX_MS, allocate_cores
 from repro.engine.metrics import EpochMetrics
-from repro.engine.simulator import _EPS, BaseSim, OpRuntime, _add_in_order
+from repro.engine.simulator import _EPS, BaseSim, _add_in_order
 from repro.streams.microbench import EPOCH_S
 from repro.substrate import cluster
 from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S
@@ -54,35 +54,17 @@ class ElasticutorSim(BaseSim):
 
     name = "elasticutor"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._Xg: np.ndarray | None = None
-        self._lam_ewma: np.ndarray | None = None
-
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
-    def _init_layout(self, op: OperatorSpec, n_keys: int) -> OpRuntime:
+    def _init_layout(self, op: OperatorSpec, n_keys: int) -> tuple[np.ndarray, np.ndarray, int]:
         y, z = op.n_executors, op.shards_per_executor
-        homes = self._take_cores(y)  # one initial (local) core per executor
-        keys = np.arange(n_keys)
-        return OpRuntime(
-            op=op,
-            key_to_shard=np.asarray(shard_hash.global_shard(keys, y, z), dtype=np.int64),
-            tasks_node=homes.copy(),
-            tasks_exec=np.arange(y, dtype=np.int64),
-            shard_assign=np.repeat(np.arange(y, dtype=np.int64), z),
-            exec_home=homes,
-        )
+        key_to_shard = np.asarray(shard_hash.global_shard(np.arange(n_keys), y, z), dtype=np.int64)
+        return key_to_shard, np.repeat(np.arange(y, dtype=np.int64), z), y
 
     def setup(self, n_keys: int) -> None:
-        wanted = sum(op.n_executors for op in self.topology.operators)
-        if wanted > self.spec.total_cores:
-            raise ValueError(
-                f"{wanted} executors need at least one core each but the "
-                f"cluster has {self.spec.total_cores}"
-            )
         super().setup(n_keys)
+        self._lam_ewma: np.ndarray | None = None  # smoothed λ of this run
         M = int(self._exec_off[-1])
         X = np.zeros((self.spec.n_nodes, M), dtype=np.int64)
         np.add.at(X, (self._exec_home, np.arange(M)), 1)
@@ -90,7 +72,7 @@ class ElasticutorSim(BaseSim):
         # cores per node, the capacity every assignment packs into
         self._cores = np.full(self.spec.n_nodes, self.spec.cores_per_node, dtype=np.int64)
         # per-executor constants of the measurement step
-        ops = [self.ops[name].op for name in self._order]
+        ops = [self.topology.operator(name) for name in self._order]
         z = np.array([op.shards_per_executor for op in ops])[self._exec_op]
         self._exec_z = z
         self._exec_shard0 = np.cumsum(z) - z
@@ -230,7 +212,7 @@ class ElasticutorSim(BaseSim):
         rank = np.empty(n_old, dtype=np.int64)
         rank[order] = np.arange(n_old) - (np.cumsum(old_count) - old_count)[old_g[order]]
         old_to_new = np.where(rank < want[old_g], group_start[old_g] + rank, -1)
-        old_assign = self._global_assign()
+        old_assign = self._shard_task
         new_assign = old_to_new[old_assign]  # -1 where the task died
         exec_start = np.cumsum(k) - k
         # Each task's load sums its shards in shard order, as the
@@ -292,7 +274,7 @@ class ElasticutorSim(BaseSim):
             order = np.argsort(np.concatenate(by_exec), kind="stable")
             self._charge_moves(m, np.concatenate(moved)[order], np.concatenate(inter)[order])
         self._set_tasks(nodes_arr, exec_arr)
-        self._shard_task[:] = new_assign - self._shard_task_off
+        self._shard_task = new_assign
 
     def _charge_moves(self, m: EpochMetrics, shards: np.ndarray, inter: np.ndarray) -> None:
         """Charge the §3.3 protocol cost of each move (engine-wide shard

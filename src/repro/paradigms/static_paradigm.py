@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core import shards as shard_hash
 from repro.engine.metrics import EpochMetrics
-from repro.engine.simulator import BaseSim, OpRuntime
+from repro.engine.simulator import BaseSim
 from repro.substrate.topology import OperatorSpec
 
 
@@ -22,21 +22,45 @@ class StaticSim(BaseSim):
 
     name = "static"
 
-    def _init_layout(self, op: OperatorSpec, n_keys: int) -> OpRuntime:
-        n_tasks = self._core_split[op.name]
-        nodes = self._take_cores(n_tasks)
-        n_shards = op.total_shards
-        key_to_shard = shard_hash.key_to_shard(np.arange(n_keys), n_shards)
-        return OpRuntime(
-            op=op,
-            key_to_shard=np.asarray(key_to_shard, dtype=np.int64),
-            tasks_node=nodes,
-            tasks_exec=np.arange(n_tasks, dtype=np.int64),
-            shard_assign=(np.arange(n_shards) % n_tasks).astype(np.int64),
-            # task == executor: the processing thread lives where its
-            # executor lives, so nothing is ever a "remote task".
-            exec_home=nodes.copy(),
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._core_split = self._split_cores()
+
+    def _split_cores(self) -> dict[str, int]:
+        """Divide the cluster's cores across operators proportionally to
+        their expected CPU demand (input-rate share × per-tuple cost) —
+        the favourable provisioning the paper grants the baselines."""
+        rel_rate: dict[str, float] = {}
+        for name in self._order:
+            ups = self.topology.upstreams(name)
+            if not ups:
+                rel_rate[name] = 1.0
+            else:
+                rel_rate[name] = sum(
+                    rel_rate[u] * self.topology.operator(u).selectivity for u in ups
+                )
+        demand = {
+            name: rel_rate[name] * self.topology.operator(name).cpu_cost_ms
+            for name in self._order
+        }
+        total = sum(demand.values()) or 1.0
+        cores = {
+            name: max(1, int(round(self.spec.total_cores * d / total)))
+            for name, d in demand.items()
+        }
+        # trim overshoot from the largest allocations
+        while sum(cores.values()) > self.spec.total_cores:
+            big = max(cores, key=lambda n: cores[n])
+            if cores[big] <= 1:
+                break
+            cores[big] -= 1
+        return cores
+
+    def _init_layout(self, op: OperatorSpec, n_keys: int) -> tuple[np.ndarray, np.ndarray, int]:
+        n_exec = self._core_split[op.name]
+        key_to_shard = shard_hash.key_to_shard(np.arange(n_keys), op.total_shards)
+        shard_exec = np.arange(op.total_shards, dtype=np.int64) % n_exec
+        return np.asarray(key_to_shard, dtype=np.int64), shard_exec, n_exec
 
     def _elasticity(
         self, epoch: int, now_s: float, inbox: np.ndarray, arrivals: np.ndarray, m: EpochMetrics

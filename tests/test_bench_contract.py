@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from perfbench import tracing
+from perfbench.engine_workloads import _conserves
 from repro.engine.simulator import BaseSim, EngineConfig
 from repro.experiments.micro import PARADIGMS
 from repro.experiments.table2 import sse_engine_inputs
@@ -71,15 +72,18 @@ def _two_sources():
     return ClusterSpec(n_nodes=2, cores_per_node=8), topo, trace
 
 
+def _inputs(inputs):
+    if inputs == "sse":
+        return sse_engine_inputs(n_nodes=8, n_epochs=7, seed=3)
+    return _two_sources()
+
+
 @pytest.mark.parametrize("inputs", ["sse", "two-sources"])
 @pytest.mark.parametrize("paradigm", list(PARADIGMS))
 def test_one_counts_read_per_epoch(paradigm, inputs):
     """The engine reads row ``t`` of the counts once, at the start of
     epoch ``t`` — also with several source operators."""
-    if inputs == "sse":
-        spec, topo, trace = sse_engine_inputs(n_nodes=8, n_epochs=7, seed=3)
-    else:
-        spec, topo, trace = _two_sources()
+    spec, topo, trace = _inputs(inputs)
     counts = trace.counts.view(_Reads)
     counts.reads = []
     recorded = Trace(counts, trace.epoch_s, trace.tuple_bytes, trace.cpu_cost_ms)
@@ -87,3 +91,14 @@ def test_one_counts_read_per_epoch(paradigm, inputs):
     result = sim.run(recorded)
     assert counts.reads == list(range(trace.n_epochs))
     assert len(result.epochs) == trace.n_epochs
+
+
+@pytest.mark.parametrize("inputs", ["sse", "two-sources"])
+@pytest.mark.parametrize("paradigm", list(PARADIGMS))
+def test_conservation_check_reads_the_engine(paradigm, inputs):
+    """The engine workloads' conservation check finds the per-operator
+    state it reads (``queue_n``, ``resid_n``, ``shed_total``) and holds
+    after a run of every paradigm."""
+    spec, topo, trace = _inputs(inputs)
+    sim = PARADIGMS[paradigm](topo, EngineConfig(spec=spec, warmup_epochs=2))
+    assert _conserves(sim, sim.run(trace).to_frame())

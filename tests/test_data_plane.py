@@ -30,48 +30,52 @@ from repro.streams.microbench import EPOCH_S, micro_trace
 from repro.substrate import cluster
 from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
+from tests.layout import op_layout, set_shard_assign
 
 _EPS = 1e-12
-STATE = ("queue_n", "resid_n", "resid_wait", "pause_ms", "shard_assign")
+#: per-shard state (``sim.ops``) and layout (``op_layout``) compared below
+STATE = ("queue_n", "resid_n", "resid_wait", "pause_ms")
+LAYOUT = ("shard_assign", "tasks_node", "tasks_exec")
 
 
 def _throttle_reference(sim, arrivals):
     g = 1.0
     for name in sim._order:
-        rt = sim.ops[name]
-        a = np.bincount(rt.key_to_shard, weights=arrivals[name], minlength=rt.op.total_shards)
-        a_t = np.bincount(rt.shard_assign, weights=a, minlength=rt.n_tasks)
-        cap_t = CORE_CAPACITY_MS_PER_S * EPOCH_S / rt.op.cpu_cost_ms
+        lay = op_layout(sim, name)
+        a = np.bincount(lay.key_to_shard, weights=arrivals[name], minlength=lay.op.total_shards)
+        a_t = np.bincount(lay.shard_assign, weights=a, minlength=lay.n_tasks)
+        cap_t = CORE_CAPACITY_MS_PER_S * EPOCH_S / lay.op.cpu_cost_ms
         hot = a_t > 0
         if hot.any():
             g = min(g, float((cap_t / np.maximum(a_t, _EPS))[hot].min()))
     return max(0.0, min(1.0, g))
 
 
-def _process_operator_reference(sim, i, rt, in_counts, stall_frac, m):
+def _process_operator_reference(sim, i, lay, rt, in_counts, stall_frac, m):
     """One operator-epoch of the previous data plane, on copies of the
-    operator's arrays, written back in place at the end.  Returns
-    (out_counts_per_key, processed, offered, latency_numerator)."""
-    op = rt.op
+    operator's arrays (``lay`` its layout, ``rt`` its state), written
+    back in place at the end.  Returns (out_counts_per_key, processed,
+    offered, latency_numerator)."""
+    op = lay.op
     queue_n, resid_n, resid_wait = rt.queue_n.copy(), rt.resid_n.copy(), rt.resid_wait.copy()
     pause_ms = rt.pause_ms.copy()
     cost = op.cpu_cost_ms
     epoch_ms = EPOCH_S * 1000.0
     offered = float(in_counts.sum())
-    a = np.bincount(rt.key_to_shard, weights=in_counts, minlength=op.total_shards)
-    assign = rt.shard_assign
-    n_tasks = rt.n_tasks
+    a = np.bincount(lay.key_to_shard, weights=in_counts, minlength=op.total_shards)
+    assign = lay.shard_assign
+    n_tasks = lay.n_tasks
 
     cap_ms = CORE_CAPACITY_MS_PER_S * EPOCH_S * (1.0 - stall_frac)
     cap_t = np.full(n_tasks, cap_ms / cost)
 
-    remote = rt.tasks_node != rt.exec_home[rt.tasks_exec]
+    remote = lay.tasks_node != lay.exec_home[lay.tasks_exec]
     if remote.any():
         a_t = np.bincount(assign, weights=a, minlength=n_tasks)
         bytes_t = a_t * sim.topology.link_bytes_per_tuple(op.name)
         nic_cap = cluster.NIC_BYTES_PER_S * EPOCH_S
-        for h in np.unique(rt.exec_home[rt.tasks_exec[remote]]):
-            mask = remote & (rt.exec_home[rt.tasks_exec] == h)
+        for h in np.unique(lay.exec_home[lay.tasks_exec[remote]]):
+            mask = remote & (lay.exec_home[lay.tasks_exec] == h)
             demand = bytes_t[mask].sum()
             if demand > nic_cap:
                 cap_t[mask] *= nic_cap / demand
@@ -152,9 +156,8 @@ def _advance_reference(sim, now_s, inbox, arrivals, m):
     next_inbox = {name: np.zeros(inbox.shape[1]) for name in order}
     lat_num = 0.0
     for i, name in enumerate(order):
-        rt = sim.ops[name]
         out_counts, proc, offered, lat = _process_operator_reference(
-            sim, i, rt, arrivals[name], float(stall[i]), m
+            sim, i, op_layout(sim, name), sim.ops[name], arrivals[name], float(stall[i]), m
         )
         if name in sources:
             if g >= 1.0:
@@ -163,7 +166,7 @@ def _advance_reference(sim, now_s, inbox, arrivals, m):
             lat += proc * bp_penalty_ms
         lat_num += lat
         for d in sim.topology.downstreams(name):
-            next_inbox[d] = next_inbox[d] + out_counts * rt.op.selectivity
+            next_inbox[d] = next_inbox[d] + out_counts * sim.topology.operator(name).selectivity
     m.latency_ms = lat_num / max(m.processed, _EPS)
     return np.stack([next_inbox[name] for name in order])
 
@@ -213,23 +216,23 @@ def _random_sim(cls, p):
     n = spec.n_nodes
     nodes, execs = [], []
     for i, name in enumerate(sim._order):
-        rt = sim.ops[name]
+        lay = op_layout(sim, name)
         if i == 0 and p["crowd"]:
             # 12 tasks of executor 0, all away from its home node: one
             # (operator, home) group above pairwise summation's 8
             n_t = 12
             e = np.zeros(n_t, dtype=np.int64)
-            nd = np.full(n_t, (int(rt.exec_home[0]) + 1) % n)
+            nd = np.full(n_t, (int(lay.exec_home[0]) + 1) % n)
         else:
             n_t = int(rng.integers(1, 13))
-            e = rng.integers(0, len(rt.exec_home), n_t)
+            e = rng.integers(0, len(lay.exec_home), n_t)
             nd = rng.integers(0, n, n_t)
         nodes.append(nd.astype(np.int64))
         execs.append(e.astype(np.int64) + sim._exec_off[i])
     sim._set_tasks(np.concatenate(nodes), np.concatenate(execs))
     for name in sim._order:
-        rt = sim.ops[name]
-        rt.shard_assign[:] = rng.integers(0, rt.n_tasks, rt.shard_assign.size)
+        lay = op_layout(sim, name)
+        set_shard_assign(sim, name, rng.integers(0, lay.n_tasks, lay.shard_assign.size))
     n_shards = sim._queue_n.size
     sim._queue_n[:] = rng.exponential(p["load"], n_shards) * (rng.random(n_shards) < 0.7)
     sim._resid_n[:] = rng.exponential(p["load"], n_shards) * (rng.random(n_shards) < 0.5)
@@ -249,13 +252,13 @@ def _random_sim(cls, p):
     if isinstance(sim, ResourceCentricSim):
         for name in sim._order:
             if rng.random() < 0.5:
-                rt = sim.ops[name]
+                lay = op_layout(sim, name)
                 sim._stall_until[name] = p["now_s"] + float(rng.uniform(-0.5, 2.5))
                 k = int(rng.integers(1, 4))
-                shards = rng.integers(0, rt.shard_assign.size, k)
-                new_assign = rt.shard_assign.copy()
+                shards = rng.integers(0, lay.shard_assign.size, k)
+                new_assign = lay.shard_assign.copy()
                 for s in shards:
-                    new_assign[s] = rng.integers(0, rt.n_tasks)
+                    new_assign[s] = rng.integers(0, lay.n_tasks)
                 sim._pending[name] = (new_assign, k, float(rng.uniform(0.0, 1e5)))
     # fractional counts, as downstream operators receive them
     shape = (len(sim._order), p["n_keys"])
@@ -291,6 +294,9 @@ def _assert_same_epoch(cls, p):
         for attr in STATE:
             assert _bits(getattr(a, attr)) == _bits(getattr(b, attr)), (name, attr)
         assert _bits(a.shed_total) == _bits(b.shed_total)
+        la, lb = op_layout(got, name), op_layout(ref, name)
+        for attr in LAYOUT:
+            assert _bits(getattr(la, attr)) == _bits(getattr(lb, attr)), (name, attr)
     return got, m_ref
 
 
@@ -334,12 +340,13 @@ class TestFusedEpochMatchesLoop:
         sim, inbox = _random_sim(ResourceCentricSim, p)
         first = sim._order[0]
         home = sim._exec_home[sim._task_exec]
-        crowd = (sim._task_op == 0) & (sim._task_node != home) & (home == sim.ops[first].exec_home[0])
+        home0 = op_layout(sim, first).exec_home[0]
+        crowd = (sim._task_op == 0) & (sim._task_node != home) & (home == home0)
         assert crowd.sum() >= 9
         assert (sim._pause_ms > 0).any()
         stall = sim._repartition(p["now_s"], EpochMetrics(epoch=0))
         assert stall.max() > 0
-        a_t = np.bincount(sim._global_assign(), weights=sim._route(inbox), minlength=crowd.size)
+        a_t = np.bincount(sim._shard_task, weights=sim._route(inbox), minlength=crowd.size)
         got, m = _assert_same_epoch(ResourceCentricSim, p)
         assert m.throttle_g < 1.0
         # the crowded group's NIC demand, even throttled, is over the cap,
@@ -409,5 +416,8 @@ def test_runs_match_reference(paradigm, inputs, monkeypatch):
     r_got, r_ref = got.run(trace), ref.run(trace)
     assert r_got.to_frame().drop(columns="sched_ms").equals(r_ref.to_frame().drop(columns="sched_ms"))
     for name in topo.topo_order():
-        for attr in STATE + ("tasks_node", "tasks_exec"):
+        for attr in STATE:
             assert np.array_equal(getattr(got.ops[name], attr), getattr(ref.ops[name], attr))
+        la, lb = op_layout(got, name), op_layout(ref, name)
+        for attr in LAYOUT:
+            assert np.array_equal(getattr(la, attr), getattr(lb, attr))

@@ -534,7 +534,7 @@ class RecordingElasticutor(ElasticutorSim):
         self.applied = []
 
     def _apply(self, X, loads, m):
-        before = self._task_node[self._global_assign()]
+        before = self._task_node[self._shard_task]
         charged = []
 
         def record(m, shards, inter):
@@ -544,7 +544,7 @@ class RecordingElasticutor(ElasticutorSim):
         self._charge_moves = record
         super()._apply(X, loads, m)
         del self._charge_moves
-        self.applied.append((before, self._task_node[self._global_assign()], charged))
+        self.applied.append((before, self._task_node[self._shard_task], charged))
 
 
 class TestEngineMoveListReplay:

@@ -22,8 +22,11 @@ from repro.paradigms import elasticutor
 from repro.streams.microbench import micro_trace
 from repro.substrate import cluster
 from repro.substrate.cluster import ClusterSpec
+from tests.layout import op_layout
 
-OP_ARRAYS = ("tasks_node", "tasks_exec", "shard_assign", "queue_n", "resid_n")
+#: each operator's final layout (through ``op_layout``), then its queues
+LAYOUT_ARRAYS = ("tasks_node", "tasks_exec", "shard_assign")
+STATE_ARRAYS = ("queue_n", "resid_n")
 
 GOLDEN = {
     ("static", "sse"): "e7e16c508448dd799796ebf8f9615d0caf4fa1a97aa8f95148d0a80555ac4ee9",
@@ -63,7 +66,9 @@ def run_digest(paradigm, workload):
     h = hashlib.sha256()
     arrays = [(col, frame[col].to_numpy()) for col in frame.columns]
     for name in topo.topo_order():
-        arrays += [(f"{name}.{attr}", getattr(sim.ops[name], attr)) for attr in OP_ARRAYS]
+        layout, state = op_layout(sim, name), sim.ops[name]
+        arrays += [(f"{name}.{attr}", getattr(layout, attr)) for attr in LAYOUT_ARRAYS]
+        arrays += [(f"{name}.{attr}", getattr(state, attr)) for attr in STATE_ARRAYS]
     for label, a in arrays:
         a = np.ascontiguousarray(a)
         h.update(f"{label}:{a.dtype.str}".encode())

@@ -9,6 +9,8 @@ from repro.core.load_balancer import rebalance
 from repro.engine import simulator
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import EngineConfig
+from repro.experiments.micro import PARADIGMS, micro_topology
+from repro.experiments.table2 import sse_engine_inputs
 from repro.paradigms.elasticutor import ElasticutorSim, _cap_allocation
 from repro.paradigms.naive_ec import NaiveECSim
 from repro.paradigms.resource_centric import ResourceCentricSim
@@ -17,6 +19,7 @@ from repro.streams.microbench import micro_trace
 from repro.substrate import cluster
 from repro.substrate.cluster import ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
+from tests.layout import op_layout, set_shard_assign
 
 
 def topo(y=4, z=16, cost=1.0):
@@ -52,9 +55,9 @@ class TestStatic:
     def test_one_core_per_executor(self):
         sim = StaticSim(topo(), EngineConfig(spec=spec()))
         sim.setup(100)
-        rt = sim.ops["calculator"]
-        assert rt.n_tasks == sim._core_split["calculator"]
-        assert np.array_equal(rt.tasks_exec, np.arange(rt.n_tasks))
+        lay = op_layout(sim, "calculator")
+        assert lay.n_tasks == sim._core_split["calculator"]
+        assert np.array_equal(lay.tasks_exec, np.arange(lay.n_tasks))
 
     def test_no_remote_tasks_ever(self):
         sim = StaticSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
@@ -112,26 +115,25 @@ class TestElasticutor:
     def test_executors_scale_beyond_one_core(self):
         sim = ElasticutorSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
         sim.run(dynamic_trace())
-        rt = sim.ops["calculator"]
-        assert np.bincount(rt.tasks_exec).max() > 1
+        assert np.bincount(op_layout(sim, "calculator").tasks_exec).max() > 1
 
     def test_key_to_executor_immutable(self):
         """The executor-centric invariant: operator-level partitioning
         is static — key→shard→executor never changes."""
         sim = ElasticutorSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
         sim.setup(500)
-        before = sim.ops["calculator"].key_to_shard.copy()
+        before = op_layout(sim, "calculator").key_to_shard
         sim.run(dynamic_trace())
-        after = sim.ops["calculator"].key_to_shard
+        after = op_layout(sim, "calculator").key_to_shard
         assert np.array_equal(before, after)
 
     def test_shard_stays_inside_its_executor(self):
         sim = ElasticutorSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
         sim.run(dynamic_trace())
-        rt = sim.ops["calculator"]
-        z = rt.op.shards_per_executor
-        owner_exec = rt.tasks_exec[rt.shard_assign]
-        assert np.array_equal(owner_exec, np.arange(rt.op.total_shards) // z)
+        lay = op_layout(sim, "calculator")
+        z = lay.op.shards_per_executor
+        owner_exec = lay.tasks_exec[lay.shard_assign]
+        assert np.array_equal(owner_exec, np.arange(lay.op.total_shards) // z)
 
     def test_no_operator_stalls(self):
         """Elasticity is executor-local: no operator's capacity is ever
@@ -174,25 +176,25 @@ class TestElasticutor:
         sim = ElasticutorSim(topo(), EngineConfig(spec=spec(), warmup_epochs=0))
         trace = dynamic_trace(n_epochs=2)
         sim.setup(trace.n_keys)
-        rt = sim.ops["calculator"]
         rng = np.random.default_rng(3)
 
         def reapply(counts):
-            nodes, execs = rt.tasks_node.copy(), rt.tasks_exec.copy()
+            lay = op_layout(sim, "calculator")
             loads = sim.shard_loads_ms(sim._route(counts[None, :]))
-            want, n_moves = rt.shard_assign.copy(), 0
-            z = rt.op.shards_per_executor
-            for j in range(rt.op.n_executors):
-                tj, sj = np.flatnonzero(rt.tasks_exec == j), np.arange(j * z, (j + 1) * z)
-                loc = np.searchsorted(tj, rt.shard_assign[sj])
+            want, n_moves = lay.shard_assign.copy(), 0
+            z = lay.op.shards_per_executor
+            for j in range(lay.op.n_executors):
+                tj, sj = np.flatnonzero(lay.tasks_exec == j), np.arange(j * z, (j + 1) * z)
+                loc = np.searchsorted(tj, lay.shard_assign[sj])
                 new, moves = rebalance(loads[sj], loc, len(tj), load_balancer.DEFAULT_THETA)
                 want[sj] = tj[new]
                 n_moves += len(moves)
             m = EpochMetrics(epoch=0)
             sim._apply(sim._Xg, loads, m)
-            assert np.array_equal(rt.tasks_node, nodes)
-            assert np.array_equal(rt.tasks_exec, execs)
-            assert np.array_equal(rt.shard_assign, want)
+            after = op_layout(sim, "calculator")
+            assert np.array_equal(after.tasks_node, lay.tasks_node)
+            assert np.array_equal(after.tasks_exec, lay.tasks_exec)
+            assert np.array_equal(after.shard_assign, want)
             assert m.n_core_changes == 0
             assert m.n_shard_moves == n_moves
             return n_moves
@@ -203,6 +205,51 @@ class TestElasticutor:
         sim._elasticity(0, 0.0, counts[None, :], sim._route(counts[None, :]), m)
         assert m.n_core_changes > 0
         assert reapply(rng.permutation(counts)) > 0
+
+
+def _check_layout(sim):
+    """The engine-wide layout's invariants: every shard on a task of its
+    own operator (and, elastic, of its own executor), node capacity, at
+    least one task per executor, and X matching the tasks."""
+    task, op = sim._shard_task, sim._shard_op
+    assert ((sim._task_off[op] <= task) & (task < sim._task_off[op + 1])).all()
+    per_node = np.bincount(sim._task_node, minlength=sim.spec.n_nodes)
+    assert per_node.max() <= sim.spec.cores_per_node
+    per_exec = np.bincount(sim._task_exec, minlength=len(sim._exec_op))
+    assert per_exec.min() >= 1
+    if isinstance(sim, ElasticutorSim):
+        assert np.array_equal(sim._task_exec[task], sim._shard_exec)
+        assert np.array_equal(sim._Xg.sum(axis=0), per_exec)
+
+
+class TestLayoutInvariants:
+    @pytest.mark.parametrize("inputs", ["sse", "micro"])
+    @pytest.mark.parametrize("paradigm", list(PARADIGMS))
+    def test_hold_after_every_epoch(self, paradigm, inputs):
+        if inputs == "sse":
+            cfg_spec, t, trace = sse_engine_inputs(n_nodes=8, n_epochs=20, seed=3)
+        else:
+            cfg_spec, t = spec(), micro_topology(n_executors=4, shards_per_executor=16)
+            trace = dynamic_trace()
+        checked = []
+
+        class Checked(PARADIGMS[paradigm]):
+            # the layout changes in these two hooks (RC's when a
+            # repartitioning completes)
+            def _elasticity(self, epoch, *args):
+                super()._elasticity(epoch, *args)
+                _check_layout(self)
+                checked.append(epoch)
+
+            def _repartition(self, *args):
+                stall = super()._repartition(*args)
+                _check_layout(self)
+                return stall
+
+        r = Checked(t, EngineConfig(spec=cfg_spec, warmup_epochs=2)).run(trace)
+        assert checked == list(range(trace.n_epochs))
+        # the layout did change, except in the static paradigm
+        assert (paradigm == "static") == (sum(e.n_shard_moves for e in r.epochs) == 0)
 
 
 class TestCapAllocation:
@@ -264,14 +311,15 @@ def _stall_factors(cls, topology, cfg, trace):
     return stalls
 
 
-def _charge_move(sim, rt, m, shard, src_node, dst_node):
+def _charge_move(sim, name, m, shard, src_node, dst_node):
     """One move's §3.3 charge, added move by move: the sequential
     accumulation the engine's batched charging must equal bit for bit."""
-    sync, mig = cluster.ec_shard_reassign_ms(rt.op.shard_state_bytes, src_node != dst_node)
-    rt.pause_ms[shard] += sync + mig
+    nbytes = sim.topology.operator(name).shard_state_bytes
+    sync, mig = cluster.ec_shard_reassign_ms(nbytes, src_node != dst_node)
+    sim.ops[name].pause_ms[shard] += sync + mig
     m.sync_ms += sync
     if src_node != dst_node:
-        m.migrated_bytes += rt.op.shard_state_bytes
+        m.migrated_bytes += nbytes
     m.n_shard_moves += 1
 
 
@@ -281,28 +329,28 @@ def _loop_apply(sim, X, all_loads, m):
     array-built, engine-wide task list is checked against."""
     layouts, off = [], sim._exec_off
     for i, name in enumerate(sim._order):
-        rt = sim.ops[name]
         Xop = X[:, off[i] : off[i + 1]]
         loads = all_loads[sim._shard_off[i] : sim._shard_off[i + 1]]
-        layouts.append(_loop_rebuild(sim, rt, Xop, loads, m))
+        layouts.append(_loop_rebuild(sim, name, Xop, loads, m))
     sim._set_tasks(
         np.concatenate([nodes for nodes, _, _ in layouts]),
         np.concatenate([execs + off[i] for i, (_, execs, _) in enumerate(layouts)]),
     )
     for (_, _, assign), name in zip(layouts, sim._order):
-        sim.ops[name].shard_assign[:] = assign
+        set_shard_assign(sim, name, assign)
 
 
-def _loop_rebuild(sim, rt, Xop, loads, m):
+def _loop_rebuild(sim, name, Xop, loads, m):
     """One operator of ``_loop_apply``; returns its new (tasks_node,
-    tasks_exec, shard_assign)."""
-    y, z = rt.op.n_executors, rt.op.shards_per_executor
+    tasks_exec, shard_assign), in its own ids."""
+    lay = op_layout(sim, name)
+    y, z = lay.op.n_executors, lay.op.shards_per_executor
     new_nodes, new_exec = [], []
-    old_to_new = np.full(rt.n_tasks, -1, dtype=np.int64)
+    old_to_new = np.full(lay.n_tasks, -1, dtype=np.int64)
     for j in range(y):
         by_node = {}
-        for t in np.flatnonzero(rt.tasks_exec == j):
-            by_node.setdefault(int(rt.tasks_node[t]), []).append(int(t))
+        for t in np.flatnonzero(lay.tasks_exec == j):
+            by_node.setdefault(int(lay.tasks_node[t]), []).append(int(t))
         for i in range(sim.spec.n_nodes):
             want, olds = int(Xop[i, j]), by_node.get(i, [])
             for r, t in enumerate(olds[:want]):
@@ -310,7 +358,7 @@ def _loop_rebuild(sim, rt, Xop, loads, m):
             new_nodes += [i] * want
             new_exec += [j] * want
     nodes, execs = np.array(new_nodes), np.array(new_exec)
-    new_assign = old_to_new[rt.shard_assign]
+    new_assign = old_to_new[lay.shard_assign]
     for j in range(y):
         tj, sj = np.flatnonzero(execs == j), np.arange(j * z, (j + 1) * z)
         pos = np.full(len(nodes), -1)
@@ -324,13 +372,13 @@ def _loop_rebuild(sim, rt, Xop, loads, m):
             d = int(np.argmin(tl))
             loc[s] = d
             tl[d] += lj[s]
-            old_node = int(rt.tasks_node[rt.shard_assign[sj[s]]])
-            _charge_move(sim, rt, m, int(sj[s]), old_node, int(nodes[tj[d]]))
+            old_node = int(lay.tasks_node[lay.shard_assign[sj[s]]])
+            _charge_move(sim, name, m, int(sj[s]), old_node, int(nodes[tj[d]]))
         if len(tj) > 1:
             loc, moves = rebalance(lj, loc, len(tj), load_balancer.DEFAULT_THETA)
             for mv in moves:
                 src, dst = int(nodes[tj[mv.src]]), int(nodes[tj[mv.dst]])
-                _charge_move(sim, rt, m, int(sj[mv.shard]), src, dst)
+                _charge_move(sim, name, m, int(sj[mv.shard]), src, dst)
         new_assign[sj] = tj[loc]
     return nodes, execs, new_assign
 
@@ -379,8 +427,9 @@ class TestRebuildMatchesLoopReference:
             r_ref.to_frame().drop(columns=["sched_ms"])
         )
         for name in ("a", "b"):
-            for f in ("tasks_node", "tasks_exec", "shard_assign", "pause_ms"):
-                assert np.array_equal(getattr(got.ops[name], f), getattr(ref.ops[name], f))
+            for f in ("tasks_node", "tasks_exec", "shard_assign"):
+                assert np.array_equal(getattr(op_layout(got, name), f), getattr(op_layout(ref, name), f))
+            assert np.array_equal(got.ops[name].pause_ms, ref.ops[name].pause_ms)
 
 
     @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
@@ -391,9 +440,9 @@ class TestRebuildMatchesLoopReference:
         got_moves, ref_moves = [], []
         charge = _charge_move
 
-        def record(sim, rt, m, shard, src_node, dst_node):
-            ref_moves.append((rt.op.name, shard, src_node != dst_node))
-            charge(sim, rt, m, shard, src_node, dst_node)
+        def record(sim, name, m, shard, src_node, dst_node):
+            ref_moves.append((name, shard, src_node != dst_node))
+            charge(sim, name, m, shard, src_node, dst_node)
 
         monkeypatch.setattr(f"{__name__}._charge_move", record)
 
@@ -432,13 +481,13 @@ class TestOrphanPlacement:
         balancer moves nothing after the four re-homing moves."""
         sim = ElasticutorSim(topo(y=1, z=4, cost=0.3), EngineConfig(spec=spec(n=2, c=2), warmup_epochs=0))
         sim.setup(200)
-        rt = sim.ops["calculator"]
+        lay = op_layout(sim, "calculator")
         counts = np.zeros(200)
         for s in range(4):
-            counts[np.flatnonzero(rt.key_to_shard == s)[0]] = 1.0
+            counts[np.flatnonzero(lay.key_to_shard == s)[0]] = 1.0
         Xop = np.zeros((2, 1), dtype=np.int64)
-        Xop[1 - int(rt.exec_home[0]), 0] = 2  # both cores away from the old task
+        Xop[1 - int(lay.exec_home[0]), 0] = 2  # both cores away from the old task
         m = EpochMetrics(epoch=0)
         sim._apply(Xop, sim.shard_loads_ms(sim._route(counts[None, :])), m)
-        assert np.bincount(rt.shard_assign, minlength=2).tolist() == [2, 2]
+        assert np.bincount(op_layout(sim, "calculator").shard_assign, minlength=2).tolist() == [2, 2]
         assert m.n_shard_moves == 4

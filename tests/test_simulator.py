@@ -8,10 +8,12 @@ from repro.engine.simulator import EngineConfig
 from repro.experiments.micro import PARADIGMS
 from repro.experiments.table2 import sse_engine_inputs
 from repro.paradigms.elasticutor import ElasticutorSim
+from repro.paradigms.resource_centric import ResourceCentricSim
 from repro.paradigms.static_paradigm import StaticSim
 from repro.streams.microbench import Trace, micro_trace
 from repro.substrate.cluster import ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
+from tests.layout import op_layout
 
 
 def tiny_spec(n_nodes=2, cores=4):
@@ -142,8 +144,8 @@ class TestBackpressure:
         monkeypatch.setattr(simulator, "QUEUE_CAP_MS", 500.0)
         trace = micro_trace(n_epochs=15, rate=20_000, n_keys=100, omega=0, seed=0)
         sim, _ = run_static(trace)
-        rt = sim.ops["calculator"]
-        tq = np.bincount(rt.shard_assign, weights=rt.queue_n, minlength=rt.n_tasks)
+        rt, lay = sim.ops["calculator"], op_layout(sim, "calculator")
+        tq = np.bincount(lay.shard_assign, weights=rt.queue_n, minlength=lay.n_tasks)
         assert tq.max() <= 500.0 / 1.0 + 1e-6
         # the cap binds: a task admits at most 500 ms of work an epoch,
         # half its capacity, so the rest waits in the residual buffer
@@ -185,6 +187,17 @@ class TestDeterminism:
         b = r2.to_frame().drop(columns=["sched_ms"])
         assert a.equals(b)
 
+    @pytest.mark.parametrize("paradigm", list(PARADIGMS))
+    def test_second_run_matches_fresh_sim(self, paradigm):
+        """All per-run state is set up by ``run``: a sim run twice gives
+        a fresh sim's result both times."""
+        spec, topo, trace = sse_engine_inputs(n_nodes=8, n_epochs=12, seed=3)
+        cfg = EngineConfig(spec=spec)
+        fresh = PARADIGMS[paradigm](topo, cfg).run(trace).to_frame().drop(columns="sched_ms")
+        sim = PARADIGMS[paradigm](topo, cfg)
+        for _ in range(2):
+            assert sim.run(trace).to_frame().drop(columns="sched_ms").equals(fresh)
+
 
 class TestCoreSplit:
     def test_split_proportional_to_demand(self):
@@ -212,20 +225,39 @@ class TestCoreSplit:
         sim = StaticSim(topo, EngineConfig(spec=tiny_spec(4, 8)))
         assert sim._core_split["a"] > 5 * sim._core_split["b"]
 
-    def test_take_cores_respects_capacity(self):
-        sim = StaticSim(calc_topology(), EngineConfig(spec=tiny_spec(2, 2)))
-        nodes = sim._take_cores(4)
-        assert np.bincount(nodes, minlength=2).max() <= 2
-        with pytest.raises(RuntimeError):
-            sim._take_cores(1)
 
-    def test_take_cores_round_robin_across_calls(self):
-        sim = StaticSim(calc_topology(), EngineConfig(spec=tiny_spec(3, 2)))
-        assert sim._take_cores(2).tolist() == [0, 1]
-        assert sim._take_cores(3).tolist() == [2, 0, 1]
-        assert sim._take_cores(1).tolist() == [2]
-        with pytest.raises(RuntimeError):
-            sim._take_cores(1)
+class TestPlacement:
+    """``setup`` places engine-wide executor ``j`` on node ``j mod
+    n_nodes`` with one task, and rejects more executors than cores."""
+
+    @staticmethod
+    def chain(*n_executors):
+        names = [f"op{i}" for i in range(len(n_executors))]
+        ops = [
+            OperatorSpec(name, cpu_cost_ms=1.0, tuple_bytes=8, n_executors=y, shards_per_executor=4)
+            for name, y in zip(names, n_executors)
+        ]
+        return Topology(ops, list(zip(names, names[1:])))
+
+    def test_round_robin_across_operators(self):
+        sim = ElasticutorSim(self.chain(2, 3, 1), EngineConfig(spec=tiny_spec(3, 2)))
+        sim.setup(10)
+        layouts = [op_layout(sim, name) for name in sim._order]
+        assert [lay.tasks_node.tolist() for lay in layouts] == [[0, 1], [2, 0, 1], [2]]
+        for lay in layouts:
+            assert np.array_equal(lay.exec_home, lay.tasks_node)
+            assert np.array_equal(lay.tasks_exec, np.arange(lay.n_tasks))
+
+    @pytest.mark.parametrize("cls", [StaticSim, ElasticutorSim])
+    def test_respects_capacity(self, cls):
+        """Four single-executor operators fill a 2 x 2 cluster, two
+        tasks a node (the static split gives each one core); a fifth
+        is rejected."""
+        sim = cls(self.chain(1, 1, 1, 1), EngineConfig(spec=tiny_spec(2, 2)))
+        sim.setup(10)
+        assert np.bincount(sim._task_node, minlength=2).tolist() == [2, 2]
+        with pytest.raises(ValueError, match="5 executors"):
+            cls(self.chain(1, 1, 1, 1, 1), EngineConfig(spec=tiny_spec(2, 2))).setup(10)
 
 
 class TestMultiOperator:
@@ -252,6 +284,6 @@ class TestMultiOperator:
 
     def test_upstream_executor_count_uses_spout_for_sources(self, monkeypatch):
         monkeypatch.setattr(simulator, "SPOUT_EXECUTORS", 7)
-        sim = StaticSim(calc_topology(), EngineConfig(spec=tiny_spec()))
+        sim = ResourceCentricSim(calc_topology(), EngineConfig(spec=tiny_spec()))
         sim.setup(10)
         assert sim.n_upstream_executors("calculator") == 7
