@@ -154,7 +154,6 @@ class BaseSim:
         self._resid_n = np.zeros(n_shards)
         self._resid_wait = np.zeros(n_shards)
         self._pause_ms = np.zeros(n_shards)
-        self.ops = {}
         for i, name in enumerate(self._order):
             sl = slice(self._shard_off[i], self._shard_off[i + 1])
             self.ops[name] = OpRuntime(
