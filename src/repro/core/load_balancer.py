@@ -19,7 +19,8 @@ The same rounds serve three callers:
 * the Elasticutor engine, which balances every busy executor of an
   epoch in one call of :func:`rebalance_many` — the same rounds in
   lockstep over a padded batch, bit-identical row by row — and applies
-  the returned move list with protocol costs.
+  the returned move list with protocol costs.  A lockstep round tests
+  whether each row stops before it runs the candidate pass.
 """
 from __future__ import annotations
 
@@ -143,10 +144,11 @@ def rebalance_many(
     row-major and round-minor.  Each row's assignment and moves are
     exactly those of :func:`rebalance` on that row, bit for bit.
 
-    Each round takes every unfinished row one :func:`rebalance` step —
-    row-wise argmax/argmin, the candidate mask, the new δ of each
-    candidate and its first-index argmin — and then drops the rows that
-    stop.  The row means must equal ``np.mean`` of each row: NumPy sums
+    Each round takes every unfinished row one :func:`rebalance` step:
+    the stop tests on the task loads (mean > 0, δ ≥ θ, src ≠ dst, the
+    round limit, a last move that improved δ) drop rows first, and only
+    the rows left get the candidate pass — the candidate mask, the new δ
+    of each candidate and its first-index argmin.  The row means must equal ``np.mean`` of each row: NumPy sums
     fewer than 8 values left to right, where zero padding is exact, and
     pairwise from 8 up, so the rows with k < 8 run as one block and each
     k ≥ 8 as a block of its own, unpadded.
@@ -197,18 +199,29 @@ def _lockstep(
     tmask = np.arange(n_t) < k[:, None]
     limit = 4 * np.maximum(z, 1)
     rows = np.arange(b)  # block rows still balancing
+    improved = np.ones(b, dtype=bool)  # the last round's best move lowered δ
     moves = []
     rnd = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        while rows.size:
+        while True:
             ar = np.arange(rows.size)
             mean = tl.sum(axis=1) / k
             hi = np.where(tmask, tl, -np.inf)
             src = hi.argmax(axis=1)
             dst = np.where(tmask, tl, np.inf).argmin(axis=1)
-            tsrc, tdst = tl[ar, src], tl[ar, dst]
+            tsrc = tl[ar, src]
             delta = tsrc / mean
-            go = (mean > 0) & (delta >= theta) & (src != dst) & (rnd < limit)
+            go = improved & (mean > 0) & (delta >= theta) & (src != dst) & (rnd < limit)
+            if not go.all():
+                out[rows[~go]] = assign[~go]
+                rows, assign, loads, tl, k, tmask, limit = (
+                    x[go] for x in (rows, assign, loads, tl, k, tmask, limit)
+                )
+                if not rows.size:
+                    break
+                mean, src, dst, tsrc, delta, hi = (x[go] for x in (mean, src, dst, tsrc, delta, hi))
+                ar = np.arange(rows.size)
+            tdst = tl[ar, dst]
             # the largest load besides src and dst; 0.0 with two tasks, as in rebalance
             hi[ar, src] = hi[ar, dst] = -np.inf
             others = np.where(k > 2, hi.max(axis=1), 0.0)
@@ -218,8 +231,8 @@ def _lockstep(
             )
             new_delta = np.where((assign == src[:, None]) & (loads > 0), new_delta, np.inf)
             best = new_delta.argmin(axis=1)
-            go &= new_delta[ar, best] < delta - 1e-12
-            g = np.flatnonzero(go)
+            improved = new_delta[ar, best] < delta - 1e-12
+            g = np.flatnonzero(improved)
             if g.size:
                 bg, sg, dg = best[g], src[g], dst[g]
                 assign[g, bg] = dg
@@ -227,10 +240,5 @@ def _lockstep(
                 tl[g, sg] -= moved
                 tl[g, dg] += moved
                 moves.append(np.stack([rows[g], bg, sg, dg], axis=1))
-            if g.size < rows.size:
-                out[rows[~go]] = assign[~go]
-                rows, assign, loads, tl = rows[g], assign[g], loads[g], tl[g]
-                k, tmask, limit = k[g], tmask[g], limit[g]
             rnd += 1
     return out, np.concatenate(moves) if moves else np.empty((0, 4), dtype=np.int64)
-

@@ -44,7 +44,9 @@ residual tuples, residual aging and shedding only when some are left
 after admission, and the pause scaling and pause latency only when some
 shard is paused (only shard moves pause shards, and only an overloaded
 task leaves residuals).  The per-task capacity is kept per layout and
-recomputed in an epoch only when an operator is stalled.
+recomputed in an epoch only when an operator is stalled, and the
+per-task arrivals of step 3 are summed again in step 5 only when the
+spout was throttled or a repartition completed.
 
 Latency is an Eq. 1-style weighted average over operators of queue-wait
 + service + protocol-pause time.  It is a queueing *model* of latency —
@@ -235,7 +237,10 @@ class BaseSim:
     def _repartition(self, now_s: float, m: EpochMetrics) -> np.ndarray:
         """Apply the operator-level repartitions that complete inside
         this epoch and return the fraction of the epoch each operator
-        is stalled by one.  Only RC repartitions operators."""
+        is stalled by one.  Only RC repartitions operators.  A completed
+        repartition installs a new ``_shard_task`` array rather than
+        writing the old one, which tells :meth:`_advance` to re-sum the
+        per-task arrivals."""
         return self._no_stall
 
     # ------------------------------------------------------------------
@@ -273,7 +278,7 @@ class BaseSim:
         # Storm-style global backpressure: the spout throttles to the
         # hottest task in the whole topology (high/low-watermark
         # backpressure stalls the entire spout, not one path).
-        g = self._throttle_factor(arrivals)
+        g, a_t = self._throttle_factor(arrivals)
         m.throttle_g = g
         sources = self._sources
         if g < 1.0:
@@ -286,9 +291,13 @@ class BaseSim:
         # stop-start emission under throttling delays every tuple by
         # about half a queue-drain cycle on average
         bp_penalty_ms = (1.0 - g) * 0.5 * QUEUE_CAP_MS
+        assign = self._shard_task
         stall = self._repartition(now_s, m)
+        # the throttle's sums hold unless it throttled or a repartition completed
+        if g < 1.0 or self._shard_task is not assign:
+            a_t = np.bincount(self._shard_task, weights=arrivals, minlength=len(self._task_op))
         offered = inbox.sum(axis=1)
-        next_inbox, processed, lat = self._data_plane(inbox, offered, arrivals, stall, m)
+        next_inbox, processed, lat = self._data_plane(inbox, offered, arrivals, a_t, stall, m)
         lat_num = 0.0
         for i in range(len(self._order)):
             if self._is_source[i]:
@@ -300,9 +309,10 @@ class BaseSim:
         m.latency_ms = lat_num / max(m.processed, _EPS)
         return next_inbox
 
-    def _throttle_factor(self, arrivals: np.ndarray) -> float:
+    def _throttle_factor(self, arrivals: np.ndarray) -> tuple[float, np.ndarray]:
         """Fluid spout-throttle: largest g in (0, 1] such that no task
-        anywhere receives more than its capacity this epoch.
+        anywhere receives more than its capacity this epoch.  Returns g
+        and the per-task arrivals it was computed from.
 
         Capacity is evaluated *ignoring* transient repartitioning
         stalls: a stall buffers tuples upstream (they arrive late, with
@@ -312,9 +322,9 @@ class BaseSim:
         a_t = np.bincount(self._shard_task, weights=arrivals, minlength=len(self._task_op))
         hot = a_t > 0
         if not hot.any():
-            return 1.0
+            return 1.0, a_t
         g = float((self._task_cap / np.maximum(a_t, _EPS))[hot].min())
-        return max(0.0, min(1.0, g))
+        return max(0.0, min(1.0, g)), a_t
 
     # ------------------------------------------------------------------
     # shared data plane: every operator in one pass
@@ -324,11 +334,14 @@ class BaseSim:
         inbox: np.ndarray,
         offered: np.ndarray,
         arrivals: np.ndarray,
+        a_t: np.ndarray,
         stall: np.ndarray,
         m: EpochMetrics,
     ) -> tuple[np.ndarray, list[float], list[float]]:
-        """Advance every operator by one epoch.  Returns (next inbox,
-        processed tuples per operator, latency numerator per operator).
+        """Advance every operator by one epoch.  ``a_t`` is the
+        per-task sum of ``arrivals`` under the current layout.  Returns
+        (next inbox, processed tuples per operator, latency numerator per
+        operator).
 
         Passes over state that is absent do not run: residual admission
         (and the carried-wait term) when no shard holds a residual on
@@ -353,7 +366,6 @@ class BaseSim:
             cap_t = self._task_cap
 
         # ---- NIC throttling + remote traffic accounting ----
-        a_t = np.bincount(assign, weights=a, minlength=n_tasks)
         if self._nic is not None:
             members, group_of, n_groups, by_size, link = self._nic
             bytes_t = a_t * link

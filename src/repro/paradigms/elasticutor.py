@@ -15,10 +15,10 @@ Every epoch the control plane:
    (:meth:`ElasticutorSim._apply`): tasks are created/removed per
    executor and node, orphaned shards are re-homed, and the
    intra-executor load balancer (§3.1) restores δ < θ — an executor
-   whose cores did not change only rebalances.  Executors with no
-   orphan whose δ is already clearly below θ are screened out with
-   array operations; every other executor with several tasks is
-   balanced in one lockstep call of
+   whose cores did not change only rebalances.  After the orphans are
+   placed, one screen with array operations drops every executor whose
+   δ is already clearly below θ; every other executor with several
+   tasks is balanced in one lockstep call of
    :func:`~repro.core.load_balancer.rebalance_many`.  Every shard move
    is charged the §3.3 protocol cost, once over the move list ordered
    by executor: a 2 ms sync pause, plus state migration only when the
@@ -177,12 +177,13 @@ class ElasticutorSim(BaseSim):
         least-loaded task of its executor), then each executor is
         rebalanced to δ < θ.
 
-        One ``bincount`` of the surviving shards screens the executors:
-        only those with orphans, or with several tasks and δ not clearly
-        below θ, are busy; for the rest :func:`rebalance` would return
-        at once with no move.  The orphans are placed first, one heap
-        per executor that has any.  Then every busy executor with
-        several tasks is gathered through an index matrix into one
+        The orphans are placed first, one heap per executor that has
+        any, starting from the task loads of the surviving shards.  Then
+        one ``bincount`` of the post-placement task loads screens the
+        executors: only those with several tasks and δ not clearly below
+        θ are busy; for the rest :func:`rebalance` would return at once
+        with no move, orphans or not.  Every busy executor is gathered
+        through an index matrix into one
         padded (executors × shards) batch for
         :func:`~repro.core.load_balancer.rebalance_many`, which gives
         each executor exactly :func:`rebalance`'s moves.  The moves are
@@ -215,18 +216,10 @@ class ElasticutorSim(BaseSim):
         old_assign = self._shard_task
         new_assign = old_to_new[old_assign]  # -1 where the task died
         exec_start = np.cumsum(k) - k
-        # Each task's load sums its shards in shard order, as the
-        # per-executor bincount in rebalance does, so the values match.
         live = new_assign >= 0
         tl = np.bincount(new_assign[live], weights=loads[live], minlength=len(groups))
-        tmax = np.maximum.reduceat(tl, exec_start)
-        tmean = np.add.reduceat(tl, exec_start) / k
-        # The 1e-9 margin covers the rounding between this mean and
-        # rebalance's, so an executor near θ still gets the exact test;
-        # an idle one (max = mean = 0) is skipped, as rebalance stops there.
         dead = np.flatnonzero(~live)  # orphaned shards, executor by executor
         n_dead = np.bincount(self._shard_exec[dead], minlength=M)
-        busy = (n_dead > 0) | ((k > 1) & (tmax > load_balancer.DEFAULT_THETA * (1.0 - 1e-9) * tmean))
         # Re-home the orphans, heaviest first, each onto the least-loaded
         # task of its executor.
         rehomed, place = [], []
@@ -252,8 +245,16 @@ class ElasticutorSim(BaseSim):
             moved.append(shards)
             inter.append(self._task_node[old_assign[shards]] != nodes_arr[new_assign[shards]])
             by_exec.append(self._shard_exec[shards])
-        # Balance every busy executor with several tasks in one batch.
-        rows = np.flatnonzero(busy & (k > 1))
+            tl = np.bincount(new_assign, weights=loads, minlength=len(groups))
+        # Balance, in one batch, every executor with several tasks whose
+        # δ is not clearly below θ.  Task loads sum their shards in shard
+        # order, as rebalance's bincount does; the 1e-9 margin covers the
+        # rounding between this mean and rebalance's, and an idle
+        # executor (max = mean = 0) is skipped, as rebalance stops there.
+        tmax = np.maximum.reduceat(tl, exec_start)
+        tmean = np.add.reduceat(tl, exec_start) / k
+        busy = (k > 1) & (tmax > load_balancer.DEFAULT_THETA * (1.0 - 1e-9) * tmean)
+        rows = np.flatnonzero(busy)
         if rows.size:
             z = self._exec_z[rows]
             valid = np.arange(z.max()) < z[:, None]

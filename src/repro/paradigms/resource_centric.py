@@ -112,6 +112,7 @@ class ResourceCentricSim(StaticSim):
                 stall[i] = min(1.0, (until - now_s) / EPOCH_S)
             if name in self._pending and until <= now_s + EPOCH_S:
                 new_assign, n_moves, mig_bytes = self._pending.pop(name)
+                self._shard_task = self._shard_task.copy()  # a new layout: see BaseSim._repartition
                 self._shard_task[self._shard_off[i] : self._shard_off[i + 1]] = (
                     new_assign + self._task_off[i]
                 )

@@ -357,6 +357,35 @@ class TestFusedEpochMatchesLoop:
         assert m.shed > 0
         assert m.n_shard_moves > 0
 
+    def test_arrivals_per_task_current(self):
+        """The data plane takes the throttle's per-task arrivals only
+        while they hold: a throttled epoch, and an epoch in which an RC
+        repartition completes, re-sum them over the current layout.  In
+        every drawn epoch they equal a fresh sum, and the epoch matches
+        the full pass."""
+        seen = set()
+
+        def checking(cls):
+            class Checking(cls):
+                def _data_plane(self, inbox, offered, arrivals, a_t, stall, m):
+                    fresh = np.bincount(self._shard_task, weights=arrivals, minlength=len(self._task_op))
+                    assert _bits(a_t) == _bits(fresh)
+                    # m is fresh for the epoch: its moves are the repartitions completed in it
+                    seen.add((m.throttle_g < 1.0, m.n_shard_moves > 0))
+                    return super()._data_plane(inbox, offered, arrivals, a_t, stall, m)
+
+            return Checking
+
+        for cls, rate, seed in itertools.product((StaticSim, ResourceCentricSim), (0.2, 200.0), range(4)):
+            p = {
+                "seed": seed, "n_ops": 3, "n_nodes": 3, "n_keys": 60, "nic": 125e6,
+                "queue_cap_ms": 4000.0, "resid_cap_ms": 8000.0, "load": 30.0,
+                "rate": rate, "crowd": False, "now_s": 7.0, "idle": (),
+            }
+            _assert_same_epoch(checking(cls), p)
+        # throttled; unthrottled with a completed repartition; and neither
+        assert {(True, False), (False, True), (False, False)} <= seen
+
     def test_guards_covered(self):
         """Drawn states that take both sides of each data-plane guard:
         residuals on entry or none, each with residuals left after

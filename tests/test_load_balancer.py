@@ -1,7 +1,7 @@
 """Unit + property tests for the intra-executor load balancer (§3.1)."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.load_balancer import imbalance, rebalance, rebalance_many, task_loads
@@ -160,18 +160,30 @@ class TestRebalanceMany:
             assign[r, :z] = rng.integers(0, k, z) if rng.random() < 0.7 else 0
         k = np.array([k for k, _, _ in rows])
         z = np.array([z for _, z, _ in rows])
+        return TestRebalanceMany.verify(loads, assign, k, z, theta)
+
+    @staticmethod
+    def verify(loads, assign, k, z, theta):
+        """One batch call, each row against :func:`rebalance`."""
         before = (loads.copy(), assign.copy())
         new, moves = rebalance_many(loads, assign, k, z, theta)
         assert np.array_equal(loads, before[0]) and np.array_equal(assign, before[1])
         assert moves.dtype == np.int64 and moves.shape[1] == 4
         assert (np.diff(moves[:, 0]) >= 0).all()  # row-major
-        for r in range(len(rows)):
+        for r in range(len(k)):
             want, want_moves = rebalance(loads[r, : z[r]], assign[r, : z[r]], int(k[r]), theta)
             assert np.array_equal(new[r, : z[r]], want)
             assert np.array_equal(new[r, z[r] :], assign[r, z[r] :])  # padding copied through
             assert moves[moves[:, 0] == r, 1:].tolist() == [list(mv) for mv in want_moves]
         return new, moves
 
+    # every row stops in round 0: one task, or no shard
+    @example(
+        rows=[(1, 7, "plain"), (4, 0, "plain"), (1, 0, "zeros"), (9, 0, "plain"), (1, 30, "decimals")],
+        theta=1.2,
+        pad=2,
+        seed=0,
+    )
     @given(
         rows=st.lists(
             st.tuples(
@@ -217,6 +229,37 @@ class TestRebalanceMany:
             want, want_moves = rebalance(loads[0, :z], assign[0, :z], k, theta)
             assert np.array_equal(new[0, :z], want)
             assert moves[moves[:, 0] == 0, 1:].tolist() == [list(mv) for mv in want_moves]
+
+    def test_stop_reasons(self):
+        """Rows that stop in round 0 for each cheap reason, in one call
+        with rows that move: all-zero loads (mean 0), δ < θ, and src =
+        dst.  At θ = 1 a one-task row, or one whose task loads are all
+        equal, has δ = 1 ≥ θ and stops only because src = dst, while
+        three tasks of 0.1 have a rounded mean above 0.1 and so δ < 1.
+        The fourth reason, the round limit of 4 × shards, is a safety
+        bound that no known input reaches (a search over random and
+        evolved rows made at most a third of it in moves)."""
+        width = 40
+        rng = np.random.default_rng(7)
+        loads = rng.random((7, width)) * 100  # padding: ignored
+        assign = rng.integers(-5, 50, (7, width))
+        spec = [
+            (3, [0.0] * 6, [0, 1, 2, 0, 1, 2]),  # mean 0
+            (3, [0.1] * 3, [0, 1, 2]),  # δ < θ
+            (1, [2.0, 5.0, 1.0, 4.0], [0] * 4),  # src = dst, one task
+            (2, [1.0, 3.0, 2.0, 2.0], [0, 0, 1, 1]),  # src = dst, equal tasks
+            (3, list(rng.random(24)), [0] * 24),  # moves
+            (9, list(rng.random(36)), [0] * 18 + [1] * 18),  # moves, pairwise block
+            (2, [5.0, 1.0], [0, 0]),  # moves once, then no move improves δ
+        ]
+        for r, (_, row_loads, row_assign) in enumerate(spec):
+            loads[r, : len(row_loads)] = row_loads
+            assign[r, : len(row_assign)] = row_assign
+        k = np.array([kr for kr, _, _ in spec])
+        z = np.array([len(row) for _, row, _ in spec])
+        assert imbalance(task_loads(loads[1, :3], assign[1, :3], 3)) < 1.0
+        new, moves = self.verify(loads, assign, k, z, 1.0)
+        assert sorted(set(moves[:, 0].tolist())) == [4, 5, 6]
 
     def test_no_improving_move(self):
         """δ ≥ θ, yet moving the one big shard only raises δ: no move,

@@ -469,6 +469,60 @@ class TestRebuildMatchesLoopReference:
         assert len(ref_moves) > 0
         assert got_moves == ref_moves
 
+def _orphaned_executors(sim, X):
+    """Executors that lose a task holding shards when ``X`` is applied:
+    each (executor, node) group keeps its first ``X[node, executor]``
+    tasks, in task order."""
+    seen, dies = {}, []
+    for e, n in zip(sim._task_exec.tolist(), sim._task_node.tolist()):
+        rank = seen[e, n] = seen.get((e, n), -1) + 1
+        dies.append(rank >= X[n, e])
+    return set(sim._task_exec[sim._shard_task[np.array(dies)[sim._shard_task]]].tolist())
+
+
+class TestPostPlacementScreen:
+    """``_apply`` screens the executors once, after the orphans are
+    placed: every executor it sends to the balancer has δ not clearly
+    below θ on its post-placement task loads, and an executor that
+    placement alone left below θ is not sent, orphans or not."""
+
+    @pytest.mark.parametrize("cls", [ElasticutorSim, NaiveECSim])
+    def test_batch_holds_only_executors_above_theta(self, cls, monkeypatch):
+        epochs = []  # per epoch: (executors with orphans, new cores, executors sent)
+        gathers = []
+        many = load_balancer.rebalance_many
+
+        class Gathers(np.ndarray):
+            """Shard loads that record each 2-D gather: ``_apply`` takes
+            its batch as ``loads[idx]``, one row of shard ids per executor."""
+
+            def __getitem__(self, idx):
+                if isinstance(idx, np.ndarray) and idx.ndim == 2:
+                    gathers.append(idx)
+                return super().__getitem__(idx)
+
+        def spy(loads, assign, k, z, theta):
+            for r in range(len(k)):
+                tl = np.bincount(assign[r, : z[r]], weights=loads[r, : z[r]], minlength=k[r])
+                tmean = np.add.reduceat(tl, [0])[0] / k[r]
+                assert tl.max() > theta * (1.0 - 1e-9) * tmean
+            epochs[-1][2].update(sim._shard_exec[gathers[-1][:, 0]].tolist())
+            return many(loads, assign, k, z, theta)
+
+        class Recording(cls):
+            def _apply(self, X, loads, m):
+                epochs.append((_orphaned_executors(self, X), X.sum(axis=0), set()))
+                super()._apply(X, loads.view(Gathers), m)
+
+        monkeypatch.setattr(load_balancer, "rebalance_many", spy)
+        spec_, t, trace = sse_engine_inputs(n_nodes=8, n_epochs=15, seed=5)
+        sim = Recording(t, EngineConfig(spec=spec_, warmup_epochs=2))
+        sim.run(trace)
+        sent = sum(len(s) for _, _, s in epochs)
+        screened = sum(len({j for j in o - s if k[j] > 1}) for o, k, s in epochs)
+        assert sent > 0 and screened > 0
+
+
 class TestOrphanPlacement:
     @pytest.mark.xfail(
         strict=True,

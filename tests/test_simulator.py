@@ -41,8 +41,8 @@ def recording(cls):
     seen_in, seen_proc = [], []
 
     class Recording(cls):
-        def _data_plane(self, inbox, offered, arrivals, stall, m):
-            out = super()._data_plane(inbox, offered, arrivals, stall, m)
+        def _data_plane(self, inbox, offered, *args):
+            out = super()._data_plane(inbox, offered, *args)
             seen_in.append(offered.copy())
             seen_proc.append(np.array(out[1]))
             return out
