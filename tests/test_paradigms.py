@@ -469,6 +469,7 @@ class TestRebuildMatchesLoopReference:
         assert len(ref_moves) > 0
         assert got_moves == ref_moves
 
+
 def _orphaned_executors(sim, X):
     """Executors that lose a task holding shards when ``X`` is applied:
     each (executor, node) group keeps its first ``X[node, executor]``
