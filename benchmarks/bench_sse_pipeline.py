@@ -9,13 +9,13 @@ from pyspark.sql import functions as F
 
 from repro.sse_app import analytics
 from repro.sse_app.transactor import transactions
-from repro.streams.sse import sse_orders
+from repro.streams.sse import sse_orders_pdf
 
 
 @pytest.mark.benchmark(group="sse-pipeline")
 def test_sse_matching_throughput(benchmark, spark, capsys):
-    orders = sse_orders(
-        spark, n_epochs=30, rate=10_000, n_stocks=500, seed=17
+    orders = spark.createDataFrame(
+        sse_orders_pdf(n_epochs=30, rate=10_000, n_stocks=500, seed=17)
     ).cache()
     n_orders = orders.count()  # materialise outside the timed region
 
@@ -31,7 +31,9 @@ def test_sse_matching_throughput(benchmark, spark, capsys):
 
 @pytest.mark.benchmark(group="sse-pipeline")
 def test_sse_analytics_throughput(benchmark, spark, capsys):
-    orders = sse_orders(spark, n_epochs=30, rate=10_000, n_stocks=500, seed=17)
+    orders = spark.createDataFrame(
+        sse_orders_pdf(n_epochs=30, rate=10_000, n_stocks=500, seed=17)
+    )
     tx = transactions(orders).cache()
     tx.count()
 

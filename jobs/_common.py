@@ -1,9 +1,8 @@
-"""Shared session bootstrap for spark-submit entrypoints.
+"""Shared session bootstrap for the Spark job, ``run_sse_pipeline.py``.
 
-Jobs are thin wrappers over functions in ``repro.experiments`` — they
-create (or reuse) a SparkSession, run one experiment, and print the
-paper-style table.  Under pytest the session comes from ``conftest.py``
-instead; jobs only build their own when run via spark-submit.
+The other jobs are thin wrappers over functions in ``repro.experiments``
+that run on NumPy traces and start no Spark session.  Under pytest the
+session comes from ``conftest.py`` instead.
 """
 from __future__ import annotations
 

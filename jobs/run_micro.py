@@ -1,7 +1,7 @@
 """Micro-benchmark sweep (§5.1, Fig. 6 shape): throughput and latency
 vs workload dynamics ω for static / RC / Elasticutor.
 
-Usage: ``spark-submit jobs/run_micro.py [omega1,omega2,...]``
+Usage: ``python jobs/run_micro.py [omega1,omega2,...]``
 """
 from __future__ import annotations
 

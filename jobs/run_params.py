@@ -1,7 +1,7 @@
 """Parameter sensitivity sweep (§5.3, Fig. 13 shape): Elasticutor
 throughput across executor count y and shard count z.
 
-Usage: ``spark-submit jobs/run_params.py [default|data-intensive|highly-dynamic]``
+Usage: ``python jobs/run_params.py [default|data-intensive|highly-dynamic]``
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """Shard-reassignment cost breakdown (Fig. 8/9 shape).
 
-Usage: ``spark-submit jobs/run_reassignment.py``
+Usage: ``python jobs/run_reassignment.py``
 """
 from __future__ import annotations
 

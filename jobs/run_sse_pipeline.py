@@ -14,14 +14,16 @@ from pyspark.sql import functions as F
 from _common import get_spark
 from repro.sse_app import analytics, events
 from repro.sse_app.transactor import transactions
-from repro.streams.sse import sse_orders
+from repro.streams.sse import sse_orders_pdf
 
 
 def main() -> None:
     n_epochs = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     rate = float(sys.argv[2]) if len(sys.argv) > 2 else 5000.0
     spark = get_spark("sse-pipeline")
-    orders = sse_orders(spark, n_epochs=n_epochs, rate=rate, n_stocks=200).cache()
+    orders = spark.createDataFrame(
+        sse_orders_pdf(n_epochs=n_epochs, rate=rate, n_stocks=200)
+    ).cache()
     tx = transactions(orders).cache()
     print(f"orders={orders.count()} transactions={tx.count()}")
     print("\n== composite index (first epochs) ==")

@@ -1,7 +1,7 @@
 """Regenerate Table 1 (§2.2): paradigm comparison from measured
 protocol behaviour.
 
-Usage: ``spark-submit jobs/run_table1.py``
+Usage: ``python jobs/run_table1.py``
 """
 from __future__ import annotations
 

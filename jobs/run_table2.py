@@ -1,7 +1,7 @@
 """Reproduce Table 2 (§5.4): naive-EC vs Elasticutor rates on the SSE
 workload, 32 nodes.
 
-Usage: ``spark-submit jobs/run_table2.py [n_epochs]``
+Usage: ``python jobs/run_table2.py [n_epochs]``
 """
 from __future__ import annotations
 

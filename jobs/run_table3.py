@@ -1,7 +1,7 @@
 """Reproduce Table 3 (§5.4): Elasticutor throughput and scheduling time
 vs cluster size (8/16/32 nodes) on the SSE workload.
 
-Usage: ``spark-submit jobs/run_table3.py [n_epochs]``
+Usage: ``python jobs/run_table3.py [n_epochs]``
 """
 from __future__ import annotations
 

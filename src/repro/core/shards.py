@@ -6,16 +6,14 @@ executor key → shard.  Tier 2 — the dynamic shard → task map — lives in
 the routing table of :mod:`repro.core.elastic_executor` and in the
 engine's per-executor state.
 
-Hashes must be deterministic across processes (Spark workers and the
-driver compute them independently) and identical between the NumPy
-routing the engine uses and the Catalyst expressions the Spark views
-use.  We use **XXH64 of the key as one little-endian long** — exactly
-what Spark's built-in ``xxhash64(BIGINT)`` computes — re-implemented
-here twice:
+Hashes must be deterministic across processes and runs, so they use no
+Python ``hash``.  We use **XXH64 of the key as one little-endian long**
+(seed 42) — exactly what Spark's built-in ``xxhash64(BIGINT)``
+computes — implemented twice:
 
 * ``_xxh64`` in vectorised NumPy ``uint64`` arithmetic, for arrays of
   keys.  It is the reference: ``tests/test_shards.py`` checks it
-  bit-for-bit against Spark.
+  against known answers computed once by Spark SQL.
 * ``_xxh64_int``, its scalar twin in Python ints masked to 64 bits, for
   one integer key.  On a scalar the NumPy path is almost all per-call
   overhead, which dominated a tuple's cost in the elastic executor's
@@ -26,15 +24,12 @@ here twice:
 key, on its first arrival — takes the scalar twin for a Python ``int`` or NumPy integer scalar in
 [−2⁶³, 2⁶⁴) — the range NumPy casts to ``uint64`` — and the NumPy path
 for everything else, so an out-of-range int raises ``OverflowError``
-exactly as before.  :func:`key_to_executor` always takes the NumPy
+in the NumPy cast.  :func:`key_to_executor` always takes the NumPy
 path: its callers hash whole arrays of keys.
 
-Using the builtin on the SQL side sidesteps ANSI-mode overflow checking,
-which forbids wraparound ``*``/``+`` in BIGINT expressions.
-
-The 64-bit hash is truncated to 63 bits (``>> 1``) before the modulo so
-the SQL side can use ``pmod`` on a non-negative BIGINT and agree with
-the unsigned NumPy modulo for any modulus.
+The 64-bit hash is truncated to 63 bits (``>> 1``) before the modulo,
+so it is a non-negative BIGINT in SQL as well
+(``shiftrightunsigned(xxhash64(CAST(k AS BIGINT)), 1)``).
 """
 from __future__ import annotations
 
@@ -151,15 +146,3 @@ def global_shard(keys: np.ndarray | int, n_executors: int, shards_per_executor: 
     e = key_to_executor(keys, n_executors)
     s = key_to_shard(keys, shards_per_executor)
     return e * shards_per_executor + s
-
-
-def executor_expr(col: str, n_executors: int) -> str:
-    """Spark SQL expression computing :func:`key_to_executor` of ``col``."""
-    h = f"shiftrightunsigned(xxhash64(CAST({col} AS BIGINT)), 1)"
-    return f"pmod({h}, {n_executors})"
-
-
-def shard_expr(col: str, n_shards: int, salt: int = 0x51ED) -> str:
-    """Spark SQL expression computing :func:`key_to_shard` of ``col``."""
-    h = f"shiftrightunsigned(xxhash64(CAST(({col} ^ {salt}) AS BIGINT)), 1)"
-    return f"pmod({h}, {n_shards})"

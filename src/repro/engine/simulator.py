@@ -136,7 +136,7 @@ class BaseSim:
         n_ops = len(ops)
         idx = np.arange(n_ops)
         z = [op.total_shards for op in ops]
-        self._shard_off = np.r_[0, np.cumsum(z)]
+        self._shard_off = np.concatenate(([0], np.cumsum(z)))
         self._shard_op = np.repeat(idx, z)
         self._route_idx = (
             np.stack([key_shard for key_shard, _, _ in layouts]) + self._shard_off[:-1, None]
@@ -162,7 +162,7 @@ class BaseSim:
                 self._queue_n[sl], self._resid_n[sl], self._resid_wait[sl], self._pause_ms[sl]
             )
 
-        self._exec_off = np.r_[0, np.cumsum(y)]
+        self._exec_off = np.concatenate(([0], np.cumsum(y)))
         self._exec_op = np.repeat(idx, y)
         self._exec_home = np.arange(n_execs, dtype=np.int64) % self.spec.n_nodes
         # one task per executor, so a task's id is its executor's
@@ -196,7 +196,8 @@ class BaseSim:
         self._task_node = task_node
         self._task_exec = task_exec
         self._task_op = self._exec_op[task_exec]
-        self._task_off = np.r_[0, np.cumsum(np.bincount(self._task_op, minlength=n_ops))]
+        per_op = np.bincount(self._task_op, minlength=n_ops)
+        self._task_off = np.concatenate(([0], np.cumsum(per_op)))
         self._task_cost = self._cost[self._task_op]
         self._task_cap = (self._core_cap / self._cost)[self._task_op]  # tuples per epoch
         self._queue_cap = (QUEUE_CAP_MS / self._cost)[self._task_op]
@@ -210,8 +211,8 @@ class BaseSim:
         key = self._task_op[remote] * self.spec.n_nodes + self._exec_home[task_exec[remote]]
         order = np.argsort(key, kind="stable")
         members, key = remote[order], key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        sizes = np.diff(np.r_[starts, members.size])
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sizes = np.diff(np.concatenate((starts, [members.size])))
         by_size = []
         for n in np.unique(sizes).tolist():
             gids = np.flatnonzero(sizes == n)
@@ -488,4 +489,4 @@ class BaseSim:
 def _add_in_order(total: float, values: np.ndarray) -> float:
     """``total`` plus ``values`` added one at a time (``cumsum`` is
     sequential; ``sum`` is pairwise and may round differently)."""
-    return float(np.cumsum(np.r_[total, values])[-1])
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])

@@ -83,8 +83,8 @@ class ElasticutorSim(BaseSim):
         self._exec_link = self._link_bytes[self._exec_op]
         # runs of consecutive executors with the same shard count: their
         # shards form one (executors × z) block, summed row by row
-        starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
-        ends = np.r_[starts[1:], M]
+        starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+        ends = np.concatenate((starts[1:], [M]))
         self._z_runs = [
             (int(e0), int(e1), int(self._exec_shard0[e0]), int(z[e0]))
             for e0, e1 in zip(starts, ends)

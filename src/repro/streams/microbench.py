@@ -8,22 +8,15 @@ times per minute.
 
 The engine consumes a dense per-epoch key-count matrix
 (:class:`Trace`).  Counts are drawn multinomially so epochs are noisy
-like a real stream but fully deterministic in ``seed``.  The tuple- and
-count-level Spark DataFrame views exist so shard/executor histograms
-can be computed by Catalyst and cross-checked against the NumPy routing
-used inside the engine (tests do exactly that through the DuckDB
-oracle).
+like a real stream but fully deterministic in ``seed``.  Routing a
+trace's keys to executors and shards is the engine's job, in NumPy
+(:mod:`repro.core.shards`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-
-from repro.core import shards as shard_hash
 
 #: Length of one epoch, in seconds: every trace stamps it, the engine steps by it.
 EPOCH_S = 1.0
@@ -98,63 +91,3 @@ def micro_trace(
             perm = rng.permutation(n_keys)
         counts[t] = rng.multinomial(n_per_epoch, base[perm])
     return Trace(counts=counts, epoch_s=EPOCH_S, tuple_bytes=tuple_bytes, cpu_cost_ms=cpu_cost_ms)
-
-
-# ---------------------------------------------------------------------------
-# Spark views of a trace
-# ---------------------------------------------------------------------------
-
-def trace_counts_df(spark: SparkSession, trace: Trace) -> DataFrame:
-    """The trace as a (epoch, k, cnt) DataFrame (zero counts dropped)."""
-    t_idx, k_idx = np.nonzero(trace.counts)
-    pdf = pd.DataFrame(
-        {
-            "epoch": t_idx.astype(np.int64),
-            "k": k_idx.astype(np.int64),
-            "cnt": trace.counts[t_idx, k_idx],
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def trace_tuples_df(spark: SparkSession, trace: Trace, seed: int = 11) -> DataFrame:
-    """Tuple-level view (one row per tuple, shuffled order within an
-    epoch) — only for small test traces."""
-    rng = np.random.default_rng(seed)
-    frames = []
-    for t in range(trace.n_epochs):
-        keys = np.repeat(np.arange(trace.n_keys), trace.counts[t])
-        rng.shuffle(keys)
-        frames.append(pd.DataFrame({"epoch": t, "k": keys}))
-    pdf = pd.concat(frames, ignore_index=True)
-    return spark.createDataFrame(pdf)
-
-
-def shard_histogram(
-    df: DataFrame, *, n_executors: int, shards_per_executor: int, count_col: str | None = "cnt"
-) -> DataFrame:
-    """Per-(epoch, executor, shard) tuple counts, computed by Catalyst
-    with the same XXH64 hash the engine uses.
-
-    ``count_col=None`` treats ``df`` as tuple-level (weight 1 per row).
-    Output columns: epoch, executor, shard, n.
-    """
-    exec_col = F.expr(shard_hash.executor_expr("k", n_executors))
-    shard_col = F.expr(shard_hash.shard_expr("k", shards_per_executor))
-    w = F.col(count_col) if count_col else F.lit(1)
-    return (
-        df.withColumn("executor", exec_col)
-        .withColumn("shard", shard_col)
-        .groupBy("epoch", "executor", "shard")
-        .agg(F.sum(w).alias("n"))
-    )
-
-
-def executor_load_matrix(trace: Trace, n_executors: int) -> np.ndarray:
-    """NumPy twin of the tier-1 routing: (n_epochs, n_executors) tuple
-    counts — used by tests to cross-check the Spark histogram."""
-    key_exec = shard_hash.key_to_executor(np.arange(trace.n_keys), n_executors)
-    out = np.zeros((trace.n_epochs, n_executors), dtype=np.int64)
-    for t in range(trace.n_epochs):
-        out[t] = np.bincount(key_exec, weights=trace.counts[t], minlength=n_executors)
-    return out

@@ -18,15 +18,15 @@ Two products share one seed and agree by construction:
 
 * :func:`sse_trace` — the dense per-epoch per-stock order-count matrix
   driving the cluster engine;
-* :func:`sse_orders` — an order-level Spark DataFrame (stock, side,
-  price, volume, …) sampled from the same count matrix, feeding the
-  real matching engine in :mod:`repro.sse_app`.
+* :func:`sse_orders_pdf` — an order-level pandas frame (stock, side,
+  price, volume, …) sampled from the same count matrix; its Spark
+  callers turn it into a DataFrame for the matching engine in
+  :mod:`repro.sse_app`.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.sse_app.topology import ORDER_BYTES
 from repro.streams.microbench import EPOCH_S, Trace, zipf_weights
@@ -144,8 +144,3 @@ def sse_orders_pdf(
             columns=["epoch", "seq", "stock", "side", "price", "volume", "trader"]
         )
     return pd.concat(frames, ignore_index=True)
-
-
-def sse_orders(spark: SparkSession, **kwargs) -> DataFrame:
-    """Spark view of :func:`sse_orders_pdf`."""
-    return spark.createDataFrame(sse_orders_pdf(**kwargs))

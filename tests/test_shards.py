@@ -1,5 +1,6 @@
-"""Unit tests for key → executor/shard hashing, including the
-NumPy-vs-Spark-SQL equivalence of the splitmix hash."""
+"""Unit tests for key → executor/shard hashing, including known
+answers of Spark's XXH64 (``xxhash64``) that the NumPy routing must
+reproduce."""
 import warnings
 
 import numpy as np
@@ -142,34 +143,61 @@ class TestScalarExecutor:
                 fn(keys, 8)
 
 
-class TestSqlTwin:
-    """The Spark SQL expressions must match NumPy bit-for-bit — shard
-    histograms computed by Catalyst feed the same engine arithmetic."""
+class TestKnownAnswers:
+    """NumPy routing equals Spark's ``xxhash64`` (seed 42), checked
+    against answers computed once by Spark SQL:
 
-    @pytest.mark.parametrize("n", [2, 7, 32, 255, 8192])
-    def test_shard_expr_matches_numpy(self, spark, n):
-        keys = np.concatenate([np.arange(2000), [10**9, 10**12, 2**40 + 7]])
-        import pandas as pd
+        SELECT shiftrightunsigned(xxhash64(CAST(k AS BIGINT)), 1),
+               shiftrightunsigned(xxhash64(CAST((k ^ 20973) AS BIGINT)), 1)
 
-        df = spark.createDataFrame(pd.DataFrame({"k": keys}))
-        got = (
-            df.selectExpr("k", f"{shards.shard_expr('k', n)} AS s")
-            .toPandas()
-            .sort_values("k")
-        )
-        expected = shards.key_to_shard(np.sort(keys), n)
-        assert np.array_equal(got["s"].to_numpy(), expected)
+    for each key ``k`` as a BIGINT.  Keys at or above 2**63 enter SQL as
+    their two's complement (``k - 2**64``), which is how NumPy casts
+    them to uint64; 20973 is ``key_to_shard``'s salt ``0x51ED``.
+    """
 
-    @pytest.mark.parametrize("n", [3, 8, 100])
-    def test_executor_expr_matches_numpy(self, spark, n):
-        import pandas as pd
+    KEYS = [0, 1, 5, 2**40 + 7, 10**9, 10**12, -1, -(2**63), 2**63 + 1, 2**64 - 1]
+    #: ``xxhash64(k) >>> 1`` per key of KEYS.
+    PLAIN = [
+        6597109305806862902, 5722535719003253017, 3125918645171729186,
+        9106384566747443404, 7879918617947653206, 1699128906776941697,
+        1929071276125206505, 4913497617541521658, 7542065296914031411,
+        1929071276125206505,
+    ]
+    #: ``xxhash64(k ^ 20973) >>> 1`` per key of KEYS.
+    SALTED = [
+        8977426859031275885, 6507437010014718414, 5359173953650230617,
+        6667119881669824469, 8069268166837326135, 7091125067658266179,
+        2140276475139265024, 1826074130311219369, 931092129319583834,
+        2140276475139265024,
+    ]
+    EXECUTOR_MODULI = [1, 3, 8, 100, 256]
+    SHARD_MODULI = [1, 2, 7, 32, 255, 8192]
 
-        keys = np.arange(3000)
-        df = spark.createDataFrame(pd.DataFrame({"k": keys}))
-        got = (
-            df.selectExpr("k", f"{shards.executor_expr('k', n)} AS e")
-            .toPandas()
-            .sort_values("k")
-        )
-        expected = shards.key_to_executor(keys, n)
-        assert np.array_equal(got["e"].to_numpy(), expected)
+    def test_numpy_hash(self):
+        u = TestScalarTwin.as_u64(self.KEYS)
+        assert shards._xxh64(u).tolist() == self.PLAIN
+        assert shards._xxh64(u ^ np.uint64(0x51ED)).tolist() == self.SALTED
+
+    def test_scalar_twin(self):
+        assert [shards._xxh64_int(k, 0) for k in self.KEYS] == self.PLAIN
+        assert [shards._xxh64_int(k, 0x51ED) for k in self.KEYS] == self.SALTED
+
+    @pytest.mark.parametrize("n", EXECUTOR_MODULI)
+    def test_key_to_executor(self, n):
+        want = [h % n for h in self.PLAIN]
+        assert shards.key_to_executor(TestScalarTwin.as_u64(self.KEYS), n).tolist() == want
+        assert shards.key_to_executor(self.KEYS, n).tolist() == want
+        assert [shards.key_to_executor(k, n) for k in self.KEYS] == want
+
+    @pytest.mark.parametrize("n", SHARD_MODULI)
+    def test_key_to_shard(self, n):
+        want = [h % n for h in self.SALTED]
+        assert shards.key_to_shard(TestScalarTwin.as_u64(self.KEYS), n).tolist() == want
+        assert shards.key_to_shard(self.KEYS, n).tolist() == want
+        assert [shards.key_to_shard(k, n) for k in self.KEYS] == want
+
+    def test_global_shard(self):
+        """The engine's shard id of a key, from the SQL answers."""
+        y, z = 4, 8
+        want = [(p % y) * z + s % z for p, s in zip(self.PLAIN, self.SALTED)]
+        assert shards.global_shard(TestScalarTwin.as_u64(self.KEYS), y, z).tolist() == want

@@ -4,7 +4,6 @@ import pytest
 
 from repro.streams.microbench import (
     Trace,
-    executor_load_matrix,
     micro_trace,
     shuffle_epochs,
     zipf_weights,
@@ -90,25 +89,6 @@ class TestMicroTrace:
     def test_total_tuples(self):
         t = micro_trace(n_epochs=4, rate=100, n_keys=10, omega=0)
         assert t.total_tuples() == 400
-
-
-class TestExecutorLoadMatrix:
-    def test_conserves_tuples(self):
-        t = micro_trace(n_epochs=3, rate=1000, n_keys=100, omega=0)
-        m = executor_load_matrix(t, 8)
-        assert m.sum() == t.total_tuples()
-
-    def test_matches_manual_routing(self):
-        from repro.core import shards
-
-        t = micro_trace(n_epochs=2, rate=500, n_keys=20, omega=0)
-        m = executor_load_matrix(t, 4)
-        ke = shards.key_to_executor(np.arange(20), 4)
-        manual = np.zeros((2, 4))
-        for ep in range(2):
-            for k in range(20):
-                manual[ep, ke[k]] += t.counts[ep, k]
-        assert np.array_equal(m, manual)
 
 
 class TestSSETrace:
