@@ -2,12 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.streams.microbench import (
-    Trace,
-    micro_trace,
-    shuffle_epochs,
-    zipf_weights,
-)
+from repro.streams.microbench import micro_trace, shuffle_epochs, zipf_weights
 from repro.streams.sse import ORDER_BYTES, sse_orders_pdf, sse_trace
 
 
