@@ -3,9 +3,10 @@
 Each pair runs ``perfbench/run.py`` once from the base checkout and once
 from the changed one, on the same seed, swapping which goes first from
 one pair to the next so that a drift in host speed hits both sides
-alike.  Every workload gets ``PAIRS`` ``--trace 0`` pairs for the
-end-to-end metrics and ``TRACED_PAIRS`` ``--trace 1`` pairs for the
-per-layer metrics of ``BENCHMARK.json`` that the workload reports.  The
+alike.  Every workload that the change's ``BENCHMARK.json`` lists gets
+``PAIRS`` ``--trace 0`` pairs for the end-to-end metrics and
+``TRACED_PAIRS`` ``--trace 1`` pairs for the per-layer metrics of
+``BENCHMARK.json`` that the workload reports.  The
 result file holds, per workload, the pair count, the failed-check counts
 and, for every metric, each side's median, the change/base ratio of the
 medians, the number of pairs the change wins, the interquartile range of
@@ -33,7 +34,6 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("spark-sse", "engine-sse", "micro-baselines", "executor-stream")
 PAIRS = 10
 TRACED_PAIRS = 3
 FIRST_SEED = 11
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         "outside_bound": [],
         "workloads": {},
     }
-    for w in WORKLOADS:
+    for w in (entry["name"] for entry in spec["workloads"]):
         runs = _pairs(base, change, w, PAIRS, seconds, 0)
         traced = _pairs(base, change, w, TRACED_PAIRS, seconds, 1)
         e2e = _summary(runs, end_to_end)

@@ -1,7 +1,8 @@
 """Run the SSE application data plane end to end on Spark: synthetic
 order stream → limit-order-book transactor (one mapInPandas matcher per
-stock partition) → the 6 statistics and 5 event operators (Spark SQL), printing a sample of each
-output.
+stock partition) → three statistics operators (composite index,
+per-stock stats, moving average) and two event operators (price alarms,
+large trades) in Spark SQL, printing a sample of each output.
 
 Usage: ``spark-submit jobs/run_sse_pipeline.py [n_epochs] [rate]``
 """

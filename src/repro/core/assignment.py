@@ -193,11 +193,11 @@ def assign_cores(
     state_bytes: np.ndarray,
     local_node: np.ndarray,
     data_intensity: np.ndarray,
-    phi: float = DEFAULT_PHI_BYTES_PER_S,
 ) -> AssignmentResult:
-    """Algorithm 1 with the §4.2 outer loop: double ``phi`` until a
-    feasible assignment is found (relaxing locality), finally dropping
-    the locality constraint entirely.
+    """Algorithm 1 with the §4.2 outer loop: starting from φ̃
+    (``DEFAULT_PHI_BYTES_PER_S``, read at call time), double ``phi``
+    until a feasible assignment is found (relaxing locality), finally
+    dropping the locality constraint entirely.
 
     Shapes: ``k``, ``state_bytes``, ``local_node``, ``data_intensity``
     are length-m; ``X_old`` is (n_nodes, m); ``cores_per_node`` length-n.
@@ -210,7 +210,7 @@ def assign_cores(
     data_intensity = np.asarray(data_intensity, dtype=float)
     if k.sum() > cores_per_node.sum():
         raise ValueError("allocation exceeds cluster capacity; cap k first")
-    cur_phi = phi
+    cur_phi = DEFAULT_PHI_BYTES_PER_S
     failed = None  # the data-intensive set of the last failed run
     for _ in range(MAX_PHI_DOUBLINGS):
         # _greedy reads phi only through this set, so a run on the set

@@ -48,6 +48,9 @@ from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 #: sentinel in the key slot of a labeling tuple ``(shard, _LABEL)`` in a
 #: pending queue; data entries are ``(shard, key, value, seq)``.
 _LABEL = object()
+#: bound on the rounds of :meth:`ElasticExecutor.run_until_idle`, each
+#: one :meth:`ElasticExecutor.step` of up to 16 tuples per task.
+MAX_IDLE_STEPS = 1_000_000
 
 
 @dataclass(slots=True)
@@ -320,13 +323,13 @@ class ElasticExecutor:
         self._gc_drained_tasks()
         return processed
 
-    def run_until_idle(self, max_steps: int = 1_000_000) -> int:
+    def run_until_idle(self) -> int:
         """Process until every pending queue is empty.  An outstanding
         reassignment always has its labeling tuple queued on a live task
         (a draining task is collected only once its queue is empty), so
         one left over with every queue empty is a protocol bug."""
         total = 0
-        for _ in range(max_steps):
+        for _ in range(MAX_IDLE_STEPS):
             total += self.step(max_tuples=16)
             if not any(t.pending for t in self.tasks):
                 if self._pending_reassign:

@@ -64,9 +64,9 @@ class StateAccessor:
 class StateStore:
     """One process's shared KV store, keyed (shard_id, key).
 
-    Tasks never hold private state; they read/update through this
-    interface, which is what makes intra-process shard reassignment
-    migration-free.
+    Tasks never hold private state; they read/update it through a
+    :class:`StateAccessor` per shard, which is what makes intra-process
+    shard reassignment migration-free.
     """
 
     def __init__(self, process_id: str, default_shard_bytes: int = DEFAULT_SHARD_STATE_BYTES) -> None:
@@ -88,13 +88,6 @@ class StateStore:
 
     def shard_ids(self) -> Iterator[int]:
         return iter(self._shards)
-
-    # -- per-key access (the user-facing state interface) ---------------
-    def get(self, shard_id: int, key: Any, default: Any = None) -> Any:
-        return self.ensure_shard(shard_id).data.get(key, default)
-
-    def put(self, shard_id: int, key: Any, value: Any) -> None:
-        self.ensure_shard(shard_id).data[key] = value
 
     # -- migration ------------------------------------------------------
     def export_shard(self, shard_id: int) -> ShardState:

@@ -8,10 +8,12 @@ scheduling wall-clock time (Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import pandas as pd
+from typing import TYPE_CHECKING
 
 from repro.streams.microbench import EPOCH_S
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 
 @dataclass
@@ -84,7 +86,10 @@ class RunResult:
 
     def to_frame(self) -> pd.DataFrame:
         """Per-epoch trajectory as a DataFrame (for Fig. 7-style plots
-        and Spark/DuckDB cross-checks)."""
+        and Spark/DuckDB cross-checks).  pandas is imported here, so an
+        engine run that asks for no frame does not load it."""
+        import pandas as pd
+
         return pd.DataFrame([vars(e) for e in self.epochs])
 
     def summary(self) -> dict:

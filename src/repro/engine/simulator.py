@@ -16,9 +16,10 @@ below is one set of array operations over all operators at once.  Per
 epoch the engine:
 
 1. routes the inbox — one row of per-key input counts per operator —
-   to shards with one ``bincount``, using the same XXH64 hashes the
-   Spark views use (``repro.core.shards``); the paradigm, the spout
-   throttle and the data plane all read these shard arrivals;
+   to shards with one ``bincount``, using the XXH64 shard hash of
+   ``repro.core.shards`` (Spark's ``xxhash64``, checked against
+   answers Spark SQL computed); the paradigm, the spout throttle and
+   the data plane all read these shard arrivals;
 2. lets the paradigm policy perform its elasticity actions (shard
    moves, core reassignments, operator-level repartitions) with the
    cost model applied (sync pauses, state-migration bytes/time);

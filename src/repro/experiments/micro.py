@@ -15,7 +15,7 @@ from repro.paradigms.elasticutor import ElasticutorSim
 from repro.paradigms.naive_ec import NaiveECSim
 from repro.paradigms.resource_centric import ResourceCentricSim
 from repro.paradigms.static_paradigm import StaticSim
-from repro.streams.microbench import Trace, micro_trace
+from repro.streams.microbench import CPU_COST_MS, N_KEYS, TUPLE_BYTES, ZIPF_SKEW, micro_trace
 from repro.substrate.cluster import CORE_CAPACITY_MS_PER_S, ClusterSpec
 from repro.substrate.topology import OperatorSpec, Topology
 
@@ -36,15 +36,14 @@ def micro_topology(
     *,
     n_executors: int = 32,
     shards_per_executor: int = 256,
-    tuple_bytes: int = 128,
+    tuple_bytes: int = TUPLE_BYTES,
 ) -> Topology:
-    """The Fig. 5 calculator operator with §5.1 defaults (1 ms of CPU
-    per tuple)."""
+    """The Fig. 5 calculator operator with §5.1 defaults."""
     return Topology(
         [
             OperatorSpec(
                 name="calculator",
-                cpu_cost_ms=1.0,
+                cpu_cost_ms=CPU_COST_MS,
                 tuple_bytes=tuple_bytes,
                 n_executors=n_executors,
                 shards_per_executor=shards_per_executor,
@@ -54,9 +53,10 @@ def micro_topology(
     )
 
 
-def micro_rate(spec: ClusterSpec, cpu_cost_ms: float = 1.0, load: float = DEFAULT_LOAD_FACTOR) -> float:
-    """Offered tuples/s for a given cluster and per-tuple cost."""
-    return load * spec.total_cores * CORE_CAPACITY_MS_PER_S / cpu_cost_ms
+def micro_rate(spec: ClusterSpec, cpu_cost_ms: float = CPU_COST_MS) -> float:
+    """Offered tuples/s for a given cluster and per-tuple cost, at
+    ``DEFAULT_LOAD_FACTOR`` of its ideal capacity."""
+    return DEFAULT_LOAD_FACTOR * spec.total_cores * CORE_CAPACITY_MS_PER_S / cpu_cost_ms
 
 
 def run_micro_cell(
@@ -66,24 +66,24 @@ def run_micro_cell(
     spec: ClusterSpec | None = None,
     topology: Topology | None = None,
     n_epochs: int = 60,
-    rate: float | None = None,
-    n_keys: int = 10_000,
-    skew: float = 0.5,
+    n_keys: int = N_KEYS,
+    skew: float = ZIPF_SKEW,
     seed: int = 1,
     warmup: int = 8,
 ) -> RunResult:
-    """One (paradigm, ω) cell of the Fig. 6 sweep."""
+    """One (paradigm, ω) cell of the Fig. 6 sweep, offered
+    :func:`micro_rate` for its cluster."""
     spec = spec or ClusterSpec()
     topo = topology or micro_topology()
-    cost = topo.operator("calculator").cpu_cost_ms
+    op = topo.operator("calculator")
     trace = micro_trace(
         n_epochs=n_epochs,
-        rate=rate if rate is not None else micro_rate(spec, cost),
+        rate=micro_rate(spec, op.cpu_cost_ms),
         n_keys=n_keys,
         skew=skew,
         omega=omega,
-        cpu_cost_ms=cost,
-        tuple_bytes=topo.operator("calculator").tuple_bytes,
+        cpu_cost_ms=op.cpu_cost_ms,
+        tuple_bytes=op.tuple_bytes,
         seed=seed,
     )
     cfg = EngineConfig(spec=spec, warmup_epochs=warmup)

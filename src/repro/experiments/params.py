@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.engine.simulator import EngineConfig
-from repro.experiments.micro import micro_rate, micro_topology
-from repro.paradigms.elasticutor import ElasticutorSim
-from repro.streams.microbench import micro_trace
+from repro.experiments.micro import micro_topology, run_micro_cell
+from repro.streams.microbench import N_KEYS, TUPLE_BYTES
 from repro.substrate.cluster import ClusterSpec
 
 
@@ -29,28 +27,22 @@ def run_params_cell(
     z: int,
     spec: ClusterSpec | None = None,
     omega: float = 2.0,
-    tuple_bytes: int = 128,
+    tuple_bytes: int = TUPLE_BYTES,
     n_epochs: int = 40,
-    n_keys: int = 10_000,
-    seed: int = 5,
-    load: float = 0.76,
+    n_keys: int = N_KEYS,
 ) -> dict:
-    """One (y, z) cell of Fig. 13 under a given workload flavour."""
-    spec = spec or ClusterSpec()
-    if y > spec.total_cores:
-        raise ValueError("more executors than cores")
-    topo = micro_topology(
-        n_executors=y, shards_per_executor=z, tuple_bytes=tuple_bytes
-    )
-    trace = micro_trace(
-        n_epochs=n_epochs,
-        rate=micro_rate(spec, 1.0, load),
-        n_keys=n_keys,
+    """One (y, z) cell of Fig. 13 under a given workload flavour: an
+    Elasticutor micro run of ``y`` executors with ``z`` shards each."""
+    r = run_micro_cell(
+        "elasticutor",
         omega=omega,
-        tuple_bytes=tuple_bytes,
-        seed=seed,
+        spec=spec,
+        topology=micro_topology(n_executors=y, shards_per_executor=z, tuple_bytes=tuple_bytes),
+        n_epochs=n_epochs,
+        n_keys=n_keys,
+        seed=5,
+        warmup=6,
     )
-    r = ElasticutorSim(topo, EngineConfig(spec=spec, warmup_epochs=6)).run(trace)
     return {
         "y": y,
         "z": z,
@@ -73,9 +65,9 @@ def params_sweep(
     ``default`` (128 B, ω=2), ``data-intensive`` (8 KB, ω=2),
     ``highly-dynamic`` (128 B, ω=16)."""
     flavours = {
-        "default": {"tuple_bytes": 128, "omega": 2.0},
+        "default": {"tuple_bytes": TUPLE_BYTES, "omega": 2.0},
         "data-intensive": {"tuple_bytes": 8192, "omega": 2.0},
-        "highly-dynamic": {"tuple_bytes": 128, "omega": 16.0},
+        "highly-dynamic": {"tuple_bytes": TUPLE_BYTES, "omega": 16.0},
     }
     fl = flavours[workload]
     rows = []

@@ -27,18 +27,10 @@ from repro.streams.microbench import micro_trace
 from repro.substrate.cluster import ClusterSpec
 
 
-def run_table1(
-    *, n_nodes: int = 8, n_epochs: int = 30, omega: float = 4.0, seed: int = 3
-) -> pd.DataFrame:
+def run_table1(*, n_nodes: int = 8, n_epochs: int = 30) -> pd.DataFrame:
     spec = ClusterSpec(n_nodes=n_nodes)
     topo = micro_topology(n_executors=8, shards_per_executor=64)
-    trace = micro_trace(
-        n_epochs=n_epochs,
-        rate=micro_rate(spec),
-        n_keys=2000,
-        omega=omega,
-        seed=seed,
-    )
+    trace = micro_trace(n_epochs=n_epochs, rate=micro_rate(spec), n_keys=2000, omega=4.0, seed=3)
     rows = []
     for pname in ("static", "resource-centric", "elasticutor"):
         sim = PARADIGMS[pname](topo, EngineConfig(spec=spec, warmup_epochs=5))

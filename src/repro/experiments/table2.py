@@ -41,16 +41,16 @@ PAPER_TABLE2 = pd.DataFrame(
 #: imbalance headroom, and the ±20 % rate modulation peaks must stay
 #: within that envelope.
 SSE_LOAD_FACTOR = 0.55
+#: epochs before measurement starts in the Table 2 and Table 3 runs
+SSE_WARMUP_EPOCHS = 8
 
 
-def sse_engine_inputs(
-    *, n_nodes: int = 32, n_epochs: int = 60, seed: int = 17, load: float = SSE_LOAD_FACTOR
-):
+def sse_engine_inputs(*, n_nodes: int = 32, n_epochs: int = 60, seed: int = 17):
     """(spec, topology, trace) for an SSE engine run at a cluster size."""
     spec = ClusterSpec(n_nodes=n_nodes)
     topo = scaled_sse_topology(n_nodes, spec.cores_per_node)
     cost = sse_cost_per_order_ms(topo)
-    rate = load * spec.total_cores * CORE_CAPACITY_MS_PER_S / cost
+    rate = SSE_LOAD_FACTOR * spec.total_cores * CORE_CAPACITY_MS_PER_S / cost
     trace = sse_trace(
         n_epochs=n_epochs,
         rate=rate,
@@ -60,10 +60,10 @@ def sse_engine_inputs(
     return spec, topo, trace
 
 
-def run_table2(*, n_nodes: int = 32, n_epochs: int = 60, seed: int = 17) -> pd.DataFrame:
+def run_table2(*, n_nodes: int = 32, n_epochs: int = 60) -> pd.DataFrame:
     """Measured Table 2: one row per metric, one column per scheduler."""
-    spec, topo, trace = sse_engine_inputs(n_nodes=n_nodes, n_epochs=n_epochs, seed=seed)
-    cfg = EngineConfig(spec=spec, warmup_epochs=8)
+    spec, topo, trace = sse_engine_inputs(n_nodes=n_nodes, n_epochs=n_epochs)
+    cfg = EngineConfig(spec=spec, warmup_epochs=SSE_WARMUP_EPOCHS)
     results = {}
     for name, cls in (("naive-ec", NaiveECSim), ("elasticutor", ElasticutorSim)):
         r = cls(topo, cfg).run(trace)

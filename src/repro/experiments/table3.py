@@ -21,7 +21,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.engine.simulator import EngineConfig
-from repro.experiments.table2 import sse_engine_inputs
+from repro.experiments.table2 import SSE_WARMUP_EPOCHS, sse_engine_inputs
 from repro.paradigms.elasticutor import ElasticutorSim
 
 PAPER_TABLE3 = pd.DataFrame(
@@ -33,15 +33,13 @@ PAPER_TABLE3 = pd.DataFrame(
 )
 
 
-def run_table3(
-    node_counts=(8, 16, 32), *, n_epochs: int = 60, seed: int = 17
-) -> pd.DataFrame:
+def run_table3(node_counts=(8, 16, 32), *, n_epochs: int = 60) -> pd.DataFrame:
     """Measured Table 3: throughput (10^3 tuples/s) and mean scheduler
     wall-clock (ms) per cluster size."""
     rows = []
     for n in node_counts:
-        spec, topo, trace = sse_engine_inputs(n_nodes=n, n_epochs=n_epochs, seed=seed)
-        r = ElasticutorSim(topo, EngineConfig(spec=spec, warmup_epochs=8)).run(trace)
+        spec, topo, trace = sse_engine_inputs(n_nodes=n, n_epochs=n_epochs)
+        r = ElasticutorSim(topo, EngineConfig(spec=spec, warmup_epochs=SSE_WARMUP_EPOCHS)).run(trace)
         rows.append(
             {
                 "n_nodes": n,

@@ -205,13 +205,12 @@ class ElasticutorSim(BaseSim):
         nodes_arr = groups % n
         exec_arr = groups // n
         group_start = np.cumsum(want) - want
-        # stable rank of each old task inside its (executor, node) group
+        # rank of each old task inside its (executor, node) group; the
+        # old tasks are in group order (the initial layout and every
+        # rebuild are), so each group is one run of the task list
         old_g = self._task_exec * n + self._task_node
-        n_old = len(old_g)
-        order = np.argsort(old_g, kind="stable")
         old_count = np.bincount(old_g, minlength=M * n)
-        rank = np.empty(n_old, dtype=np.int64)
-        rank[order] = np.arange(n_old) - (np.cumsum(old_count) - old_count)[old_g[order]]
+        rank = np.arange(len(old_g)) - (np.cumsum(old_count) - old_count)[old_g]
         old_to_new = np.where(rank < want[old_g], group_start[old_g] + rank, -1)
         old_assign = self._shard_task
         new_assign = old_to_new[old_assign]  # -1 where the task died

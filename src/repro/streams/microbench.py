@@ -20,6 +20,12 @@ import numpy as np
 
 #: Length of one epoch, in seconds: every trace stamps it, the engine steps by it.
 EPOCH_S = 1.0
+#: The §5.1 workload: the size of the key space, the zipf skew of the
+#: key frequencies, and each tuple's size and CPU cost.
+N_KEYS = 10_000
+ZIPF_SKEW = 0.5
+TUPLE_BYTES = 128
+CPU_COST_MS = 1.0
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,11 @@ def micro_trace(
     *,
     n_epochs: int,
     rate: float,
-    n_keys: int = 10_000,
-    skew: float = 0.5,
+    n_keys: int = N_KEYS,
+    skew: float = ZIPF_SKEW,
     omega: float = 2.0,
-    tuple_bytes: int = 128,
-    cpu_cost_ms: float = 1.0,
+    tuple_bytes: int = TUPLE_BYTES,
+    cpu_cost_ms: float = CPU_COST_MS,
     seed: int = 7,
 ) -> Trace:
     """Generate the §5.1 workload: ``rate`` tuples/s over ``n_keys``

@@ -264,6 +264,14 @@ _REPEATED = _case(
 )
 
 
+def _assign_cores_at(*inputs):
+    """``assign_cores`` on an ``_alg1_inputs`` draw, whose last item,
+    phi, stands in for φ̃ during the call."""
+    *args, phi = inputs
+    with patch.object(assignment, "DEFAULT_PHI_BYTES_PER_S", phi):
+        return assign_cores(*args)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -300,7 +308,7 @@ class TestArrayMatchesLoop:
     @example(_REPEATED)
     @settings(max_examples=300, deadline=None)
     def test_assign_cores_matches_loop(self, inputs):
-        got = _outcome(assign_cores, *inputs)
+        got = _outcome(_assign_cores_at, *inputs)
         want = _outcome(_assign_cores_loop, *inputs)
         if isinstance(want, type):
             assert got is want
@@ -326,7 +334,7 @@ class TestArrayMatchesLoop:
             return _greedy(*args)
 
         with patch.object(assignment, "_greedy", counted):
-            res = assign_cores(*_REPEATED)
+            res = _assign_cores_at(*_REPEATED)
         assert runs == [1.0, 8.0, 1024.0]
         assert (res.phi_used, res.feasible) == _assign_cores_loop(*_REPEATED)[1:] == (1024.0, True)
 
@@ -413,7 +421,6 @@ class TestAssignCores:
             np.array([1e6, 1e6]),
             np.array([0, 1]),
             data_intensity=np.array([1e9, 0.0]),
-            phi=512 * 1024.0,
         )
         assert res.X[0, 0] == 5
         assert res.X[1:, 0].sum() == 0
@@ -430,7 +437,6 @@ class TestAssignCores:
             np.array([1e6, 1e6]),
             np.array([0, 0]),
             data_intensity=np.array([1e9, 1e9]),
-            phi=512 * 1024.0,
         )
         assert np.array_equal(res.X.sum(axis=0), [3, 3])
         assert res.phi_used > 512 * 1024.0

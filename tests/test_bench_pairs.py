@@ -1,6 +1,8 @@
-"""``jobs/bench_pairs.py`` states whether each end-to-end metric of the
-change is within its ``BENCHMARK.json`` bound of the base."""
+"""``jobs/bench_pairs.py`` runs the workloads ``BENCHMARK.json`` lists
+and states whether each end-to-end metric of the change is within its
+``BENCHMARK.json`` bound of the base."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,28 @@ def test_summary_states_each_bound(bench_pairs):
 )
 def test_within_bound_follows_direction(bench_pairs, better, base, change, within):
     assert bench_pairs._within_bound(base, change, better, 0.25) is within
+
+
+def test_runs_the_workloads_benchmark_json_lists(bench_pairs, tmp_path, monkeypatch):
+    spec = {
+        "run_seconds": 1,
+        "workloads": [{"name": "b-workload"}, {"name": "a-workload"}],
+        "end_to_end": [DECLARED["throughput_per_s"]],
+        "per_layer": [DECLARED["engine.data_plane_ms"]],
+    }
+    for side in ("base", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    ran = []
+
+    def fake_pairs(base, change, workload, n, seconds, trace):
+        ran.append((workload, trace))
+        one = [{"throughput_per_s": 1.0, "engine.data_plane_ms": 1.0}] * n
+        return _runs({"base": one, "change": one})
+
+    monkeypatch.setattr(bench_pairs, "_pairs", fake_pairs)
+    monkeypatch.setattr(bench_pairs, "_git_head", lambda checkout: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "base"), str(tmp_path / "change"), "--out", str(out)]) == 0
+    assert ran == [("b-workload", 0), ("b-workload", 1), ("a-workload", 0), ("a-workload", 1)]
+    assert list(json.loads(out.read_text())["workloads"]) == ["b-workload", "a-workload"]

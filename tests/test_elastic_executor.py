@@ -10,6 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import shards as shard_hash
 from repro.core.elastic_executor import ElasticExecutor
+from repro.core.state import StateAccessor
 from repro.engine.metrics import EpochMetrics
 from repro.engine.simulator import EngineConfig
 from repro.experiments.micro import micro_topology
@@ -199,7 +200,7 @@ class TestScaling:
         assert ex.run_until_idle() == 6
         assert ex.shard_to_task[shard] == t2
         assert [t.value for t in ex.emitted] == [(n, n - 1) for n in range(1, 7)]
-        assert ex.store_on(1).get(shard, key) == 6
+        assert StateAccessor(ex.store_on(1), shard).get(key) == 6
         assert not ex.store_on(0).has_shard(shard)
         assert {t.task_id for t in ex.tasks} == {0, t2}
 
@@ -306,7 +307,7 @@ class TestConsistentReassignment:
         counts = [t.value[0] for t in ex.emitted]
         assert counts == list(range(1, 9))
         # state now lives in the remote process only
-        assert ex.store_on(3).get(0, key) == 8
+        assert StateAccessor(ex.store_on(3), 0).get(key) == 8
         assert not ex.store_on(0).has_shard(0)
 
     def test_intra_node_move_migrates_nothing(self):

@@ -1,5 +1,5 @@
-"""The engine, the paradigms, the experiments and the stream generators
-run on NumPy traces and must not load Spark; the tuple-level executor
+"""The experiments and the stream generators run on NumPy traces and
+must not load Spark; the engine, the paradigms, the tuple-level executor
 and the micro-benchmark stream load neither Spark nor pandas.
 
 Each check imports in a fresh interpreter, because this test session
@@ -14,11 +14,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 NO_SPARK = [
-    "repro.engine.simulator",
-    "repro.paradigms.elasticutor",
-    "repro.paradigms.naive_ec",
-    "repro.paradigms.resource_centric",
-    "repro.paradigms.static_paradigm",
     "repro.experiments.table1",
     "repro.experiments.table2",
     "repro.experiments.table3",
@@ -28,6 +23,11 @@ NO_SPARK = [
     "repro.streams.sse",
 ]
 NO_SPARK_NO_PANDAS = [
+    "repro.engine.simulator",
+    "repro.paradigms.elasticutor",
+    "repro.paradigms.naive_ec",
+    "repro.paradigms.resource_centric",
+    "repro.paradigms.static_paradigm",
     "repro.core.elastic_executor",
     "repro.core.load_balancer",
     "repro.core.assignment",

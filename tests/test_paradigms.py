@@ -210,13 +210,15 @@ class TestElasticutor:
 def _check_layout(sim):
     """The engine-wide layout's invariants: every shard on a task of its
     own operator (and, elastic, of its own executor), node capacity, at
-    least one task per executor, and X matching the tasks."""
+    least one task per executor, tasks in (executor, node) order, and X
+    matching the tasks."""
     task, op = sim._shard_task, sim._shard_op
     assert ((sim._task_off[op] <= task) & (task < sim._task_off[op + 1])).all()
     per_node = np.bincount(sim._task_node, minlength=sim.spec.n_nodes)
     assert per_node.max() <= sim.spec.cores_per_node
     per_exec = np.bincount(sim._task_exec, minlength=len(sim._exec_op))
     assert per_exec.min() >= 1
+    assert (np.diff(sim._task_exec * sim.spec.n_nodes + sim._task_node) >= 0).all()
     if isinstance(sim, ElasticutorSim):
         assert np.array_equal(sim._task_exec[task], sim._shard_exec)
         assert np.array_equal(sim._Xg.sum(axis=0), per_exec)

@@ -1,27 +1,29 @@
 """Unit tests for the intra-process shared state store (§3.2)."""
 import pytest
 
-from repro.core.state import ShardState, StateStore
+from repro.core.state import ShardState, StateAccessor, StateStore
 from repro.substrate.topology import DEFAULT_SHARD_STATE_BYTES
 
 
 class TestStateStore:
     def test_get_put_roundtrip(self):
         st = StateStore("p0")
-        st.put(3, "k1", 42)
-        assert st.get(3, "k1") == 42
-        assert st.get(3, "missing", "dflt") == "dflt"
+        StateAccessor(st, 3).put("k1", 42)
+        state = StateAccessor(st, 3)
+        assert state.get("k1") == 42
+        assert state.get("missing", "dflt") == "dflt"
+        assert st.ensure_shard(3).data == {"k1": 42}
 
     def test_shards_isolated(self):
         st = StateStore("p0")
-        st.put(0, "k", "a")
-        st.put(1, "k", "b")
-        assert st.get(0, "k") == "a"
-        assert st.get(1, "k") == "b"
+        StateAccessor(st, 0).put("k", "a")
+        StateAccessor(st, 1).put("k", "b")
+        assert StateAccessor(st, 0).get("k") == "a"
+        assert StateAccessor(st, 1).get("k") == "b"
 
     def test_export_removes_shard(self):
         st = StateStore("p0")
-        st.put(7, "k", 1)
+        StateAccessor(st, 7).put("k", 1)
         state = st.export_shard(7)
         assert isinstance(state, ShardState)
         assert not st.has_shard(7)
@@ -36,13 +38,13 @@ class TestStateStore:
         # The migration path of §3.3: export on the source process,
         # import on the destination — no data lost.
         src, dst = StateStore("p0"), StateStore("p1")
-        src.put(4, "x", [1, 2, 3])
+        StateAccessor(src, 4).put("x", [1, 2, 3])
         dst.import_shard(src.export_shard(4))
-        assert dst.get(4, "x") == [1, 2, 3]
+        assert StateAccessor(dst, 4).get("x") == [1, 2, 3]
 
     def test_import_duplicate_raises(self):
         src, dst = StateStore("p0"), StateStore("p1")
-        src.put(4, "x", 1)
+        StateAccessor(src, 4).put("x", 1)
         dst.ensure_shard(4)
         with pytest.raises(ValueError):
             dst.import_shard(src.export_shard(4))
