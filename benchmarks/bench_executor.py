@@ -1,6 +1,7 @@
 """Benchmark of the tuple-level elastic executor's per-tuple path: the
 receiver (two-tier routing, one scalar XXH64 per distinct key) and the
-tasks' ``step`` loop, on a fixed zipf(0.5) key stream.
+tasks' ``step`` loop, on a fixed stream of the §5.1 keys (``N_KEYS``
+keys, zipf ``ZIPF_SKEW``).
 
 Run: ``pytest benchmarks/bench_executor.py --benchmark-only``
 """
@@ -8,12 +9,11 @@ import numpy as np
 import pytest
 
 from repro.core.elastic_executor import ElasticExecutor
-from repro.streams.microbench import zipf_weights
+from repro.streams.microbench import N_KEYS, ZIPF_SKEW, zipf_weights
 
 N_TUPLES = 64 * 1024
 N_SHARDS = 256
 N_TASKS = 4
-N_KEYS = 10_000
 
 
 def counter(key, value, state):
@@ -25,7 +25,7 @@ def counter(key, value, state):
 @pytest.mark.benchmark(group="executor")
 def test_receive_and_process(benchmark):
     rng = np.random.default_rng(0)
-    keys = rng.choice(N_KEYS, size=N_TUPLES, p=zipf_weights(N_KEYS, 0.5)).tolist()
+    keys = rng.choice(N_KEYS, size=N_TUPLES, p=zipf_weights(N_KEYS, ZIPF_SKEW)).tolist()
 
     def setup():
         ex = ElasticExecutor(0, n_shards=N_SHARDS, local_node=0, fn=counter)
