@@ -19,8 +19,11 @@ The same rounds serve three callers:
 * the Elasticutor engine, which balances every busy executor of an
   epoch in one call of :func:`rebalance_many` — the same rounds in
   lockstep over a padded batch, bit-identical row by row — and applies
-  the returned move list with protocol costs.  A lockstep round tests
-  whether each row stops before it runs the candidate pass.
+  the returned move list with protocol costs.
+
+A round runs its stop tests on the task loads before it looks at the
+shards; :func:`rebalance` makes its candidate mask once per call.  As dst
+holds the least load, the largest besides src and dst is that besides src.
 """
 from __future__ import annotations
 
@@ -71,10 +74,12 @@ def rebalance(
     """Refine ``assignment`` (shard → task) until δ < ``theta``.
 
     Returns the new assignment and the ordered list of moves.  The input
-    array is not mutated.  Shards with zero load are never moved (a move
-    has cost but cannot reduce δ).  Terminates when δ < θ, when no move
-    improves δ, or after 4× shard-count rounds (a generous bound that in
-    practice is never hit).
+    array is not mutated.  Zero-load shards never move (a move has cost
+    but cannot reduce δ); the candidate mask, made once per call, is the
+    assignment with them at −1.  The stop tests (mean > 0, δ ≥ θ, src ≠
+    dst) come first.  The 4× shard-count round limit is a safety bound:
+    a move shifts a load smaller than the src − dst gap, so the sum of
+    squared task loads falls every round and the rounds end before it.
     """
     loads = np.asarray(shard_loads, dtype=float)
     assign = np.asarray(assignment, dtype=np.int64).copy()
@@ -86,40 +91,35 @@ def rebalance(
         raise ValueError("assignment references task out of range")
 
     tl = task_loads(loads, assign, n_tasks)
+    own = np.where(loads > 0, assign, -1).astype(np.int32)  # int32: half the bytes to compare
     moves: list[Move] = []
     for _ in range(4 * max(1, loads.size)):
-        mean = tl.mean()
+        mean = tl.sum() / n_tasks  # tl.mean() to the bit
         if mean <= 0:
             break
-        delta = tl.max() / mean
-        if delta < theta:
+        src, dst = int(tl.argmax()), int(tl.argmin())
+        tsrc, tdst = tl[src], tl[dst]
+        delta = tsrc / mean
+        if delta < theta or src == dst:
             break
-        src = int(tl.argmax())
-        dst = int(tl.argmin())
-        if src == dst:
-            break
-        # Candidate shards on the most-loaded task; the move that most
-        # reduces δ is the one minimising the new max(src', dst') load,
-        # i.e. the largest shard that still fits: we evaluate new δ for
-        # each candidate directly (vectorised).
-        cand = np.flatnonzero((assign == src) & (loads > 0))
+        cand = np.flatnonzero(own == src)
         if cand.size == 0:
             break
-        new_src = tl[src] - loads[cand]
-        new_dst = tl[dst] + loads[cand]
-        # δ after the move is determined by the global max; tasks other
-        # than src/dst are unchanged, so new max = max(others, src', dst').
-        mask = np.ones(n_tasks, dtype=bool)
-        mask[src] = mask[dst] = False
-        others_max = float(tl[mask].max()) if mask.any() else 0.0
-        new_delta = np.maximum(np.maximum(new_src, new_dst), others_max) / mean
-        best = int(cand[np.argmin(new_delta)])
-        if new_delta.min() >= delta - 1e-12:
+        # the largest load besides src and dst (0.0 with two tasks): dst
+        # holds the least load, so leaving src out is enough
+        tl[src] = -np.inf
+        others = tl.max() if n_tasks > 2 else 0.0
+        tl[src] = tsrc
+        moving = loads[cand]
+        new_delta = np.maximum(np.maximum(tsrc - moving, tdst + moving), others) / mean
+        i = int(new_delta.argmin())
+        if new_delta[i] >= delta - 1e-12:
             break  # no improving move exists
-        assign[best] = dst
-        tl[src] -= loads[best]
-        tl[dst] += loads[best]
-        moves.append(Move(shard=best, src=src, dst=dst))
+        best = int(cand[i])
+        assign[best] = own[best] = dst
+        tl[src] -= moving[i]
+        tl[dst] += moving[i]
+        moves.append(Move(best, src, dst))
     return assign, moves
 
 
@@ -148,10 +148,10 @@ def rebalance_many(
     the stop tests on the task loads (mean > 0, δ ≥ θ, src ≠ dst, the
     round limit, a last move that improved δ) drop rows first, and only
     the rows left get the candidate pass — the candidate mask, the new δ
-    of each candidate and its first-index argmin.  The row means must equal ``np.mean`` of each row: NumPy sums
-    fewer than 8 values left to right, where zero padding is exact, and
-    pairwise from 8 up, so the rows with k < 8 run as one block and each
-    k ≥ 8 as a block of its own, unpadded.
+    of each candidate and its first-index argmin.  Each row mean must be
+    ``np.mean``'s: NumPy sums fewer than 8 values left to right, where
+    zero padding is exact, and pairwise from 8 up, so rows with k < 8
+    run as one block and each k ≥ 8 as a block of its own, unpadded.
     """
     loads = np.asarray(shard_loads, dtype=float)
     assign = np.array(assignment, dtype=np.int64)
@@ -222,8 +222,8 @@ def _lockstep(
                 mean, src, dst, tsrc, delta, hi = (x[go] for x in (mean, src, dst, tsrc, delta, hi))
                 ar = np.arange(rows.size)
             tdst = tl[ar, dst]
-            # the largest load besides src and dst; 0.0 with two tasks, as in rebalance
-            hi[ar, src] = hi[ar, dst] = -np.inf
+            # the largest load besides src and dst, as in rebalance: dst holds the least
+            hi[ar, src] = -np.inf
             others = np.where(k > 2, hi.max(axis=1), 0.0)
             new_delta = (
                 np.maximum(np.maximum(tsrc[:, None] - loads, tdst[:, None] + loads), others[:, None])

@@ -352,7 +352,8 @@ class BaseSim:
         shard is paused.  Each skipped term is exactly 0.0 in the full
         pass, so the outputs are bit-identical to it; an array of zeros
         of either sign counts as absent (the pause reset always runs, so
-        a -0.0 pause leaves +0.0 as a full pass does)."""
+        a -0.0 pause leaves +0.0 as a full pass does).  ``_last_dist``
+        is kept only for a topology with edges, its one reader."""
         epoch_ms = EPOCH_S * 1000.0
         assign = self._shard_task
         n_tasks = len(self._task_op)
@@ -469,10 +470,9 @@ class BaseSim:
                 m.shed += shed
 
         # ---- outputs per key, into the downstream operators' rows ----
-        seen = (offered > 0)[:, None]
-        np.divide(inbox, offered[:, None], out=self._last_dist, where=seen)
         next_inbox = np.zeros_like(inbox)
         if self._feeds:
+            np.divide(inbox, offered[:, None], out=self._last_dist, where=(offered > 0)[:, None])
             out = np.array(processed)[:, None] * self._last_dist * self._sel
             for down, up in self._feeds:
                 next_inbox[down] = next_inbox[down] + out[up]

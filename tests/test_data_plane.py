@@ -288,7 +288,8 @@ def _assert_same_epoch(cls, p):
         k: _bits(v) for k, v in vars(m_ref).items()
     }
     assert _bits(next_got) == _bits(next_ref)
-    assert _bits(got._last_dist) == _bits(ref._last_dist)
+    if got._feeds:  # a topology with no edges never reads it
+        assert _bits(got._last_dist) == _bits(ref._last_dist)
     for name in got._order:
         a, b = got.ops[name], ref.ops[name]
         for attr in STATE:

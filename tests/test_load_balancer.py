@@ -1,10 +1,18 @@
 """Unit + property tests for the intra-executor load balancer (§3.1)."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.load_balancer import imbalance, rebalance, rebalance_many, task_loads
+from repro.core.load_balancer import (
+    imbalance,
+    moves_array,
+    rebalance,
+    rebalance_many,
+    task_loads,
+)
 
 
 class TestImbalance:
@@ -127,6 +135,48 @@ class TestRebalance:
         if imbalance(tl) >= 1.2:
             assert loads.max() >= 1.2 * mean - 1e-9
 
+def _known_rows() -> dict[str, tuple[np.ndarray, np.ndarray, int]]:
+    """Seeded (shard loads, assignment, task count) rows shaped like the
+    balancer's callers."""
+    rows = {}
+    # RC on the §5.1 micro workload: 8192 shards over 256 tasks,
+    # zipf-like loads, about 30 % of them zero
+    rng = np.random.default_rng(19)
+    z = 8192
+    loads = rng.permutation(1.0 / np.arange(1, z + 1) ** 0.5) * (rng.random(z) >= 0.3)
+    rows["rc"] = loads, np.arange(z) % 256, 256
+    # the tuple-level executor: 10 000 zipf(0.5) keys hashed to 256
+    # shards, the last task just added and still empty
+    for k in (2, 5):
+        rng = np.random.default_rng(k)
+        keys = rng.integers(0, 256, 10_000)
+        loads = np.bincount(keys, weights=1.0 / np.arange(1, 10_001) ** 0.5, minlength=256)
+        rows[f"executor-{k}"] = loads, rng.integers(0, k - 1, 256), k
+    # tasks 1 and 2 tie for the least load
+    loads = np.array([8.0, 4.0, 3.0, 1.0, 2.0, 2.0, 1.0, 1.0, 3.0, 5.0])
+    rows["tied-minima"] = loads, np.array([0, 0, 0, 0, 0, 0, 1, 2, 3, 3]), 4
+    return rows
+
+
+class TestRebalanceKnownAnswers:
+    """:func:`rebalance` pinned to the assignments and moves it gave
+    before its rounds were rewritten: sha256 of the int64 assignment
+    followed by the ``(n, 3)`` int64 move array."""
+
+    DIGESTS = {
+        "rc": (109, "7c9d621f9fbb4b6241e29712066c86230b4e481a7384340f089096343ff087b9"),
+        "executor-2": (81, "135d3dbfdd8d5d014f7e51e36adfb3327859576e02b73be0b56badc04d8c1ce4"),
+        "executor-5": (16, "b2d01b94ca64ddda1fdd57a44ded75f4ec3c95492423b224b4b9e63e442c9bcf"),
+        "tied-minima": (3, "97411a2d5da90947470a3fd695b1cad930b50dbdc4a1132f4f5b4cf52a6ab936"),
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_digest(self, name):
+        loads, assign, k = _known_rows()[name]
+        new, moves = rebalance(loads, assign, k)
+        digest = hashlib.sha256(new.astype(np.int64).tobytes() + moves_array(moves).tobytes())
+        assert (len(moves), digest.hexdigest()) == self.DIGESTS[name]
+
 
 
 def _row_loads(rng: np.random.Generator, z: int, kind: str) -> np.ndarray:
@@ -183,6 +233,20 @@ class TestRebalanceMany:
         theta=1.2,
         pad=2,
         seed=0,
+    )
+    # two tasks only: nothing besides src and dst
+    @example(
+        rows=[(2, 40, "plain"), (2, 9, "zeros"), (2, 24, "decimals"), (3, 30, "plain")],
+        theta=1.05,
+        pad=1,
+        seed=3,
+    )
+    # repeated decimals: least loads tie, at dst and among the others
+    @example(
+        rows=[(4, 30, "decimals"), (5, 40, "decimals"), (12, 48, "decimals"), (3, 12, "decimals")],
+        theta=1.0,
+        pad=0,
+        seed=4,
     )
     @given(
         rows=st.lists(
