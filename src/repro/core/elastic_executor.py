@@ -153,6 +153,8 @@ class ElasticExecutor:
             raise ValueError(f"need one owner per shard, got {len(owners)}")
         if self._pending_reassign:
             raise ValueError("cannot re-home shards while reassignments are in flight")
+        if not self._draining.isdisjoint(owners):
+            raise ValueError(f"task {min(self._draining.intersection(owners))} is being removed")
         self._route = [self._task(tid).pending for tid in owners]
         self._shard_to_task = owners
 

@@ -31,7 +31,8 @@ epoch the engine:
    into bounded per-task pending queues (backpressure: overflow is
    deferred to a source-side residual buffer and shed when that
    overflows too), processing up to each task's capacity, latency, and
-   outputs into the downstream operators' rows of the next inbox;
+   the per-key outputs of the operators that feed another into the
+   downstream rows of the next inbox (the consumed inbox, zero-filled);
 6. records the :class:`~repro.engine.metrics.EpochMetrics` counters.
 
 Each operator's float totals (processed, latency, shed, offered) are
@@ -44,10 +45,12 @@ of a full pass: residual admission runs only when some shard holds
 residual tuples, residual aging and shedding only when some are left
 after admission, and the pause scaling and pause latency only when some
 shard is paused (only shard moves pause shards, and only an overloaded
-task leaves residuals).  The per-task capacity is kept per layout and
-recomputed in an epoch only when an operator is stalled, and the
-per-task arrivals of step 3 are summed again in step 5 only when the
-spout was throttled or a repartition completed.
+task leaves residuals); each test is ``(x != 0).any()``, true for NaN
+and not ±0.0 as ``x.any()`` is, without its cast to bool.  The
+per-task capacity is kept per layout and recomputed in an epoch only
+when an operator is stalled, and the per-task arrivals of step 3 are
+summed again in step 5 only when the spout was throttled or a
+repartition completed.
 
 Latency is an Eq. 1-style weighted average over operators of queue-wait
 + service + protocol-pause time.  It is a queueing *model* of latency —
@@ -151,7 +154,6 @@ class BaseSim:
         self._resid_cap = (RESID_CAP_MS / self._cost)[self._shard_op]
         self._core_cap = CORE_CAPACITY_MS_PER_S * EPOCH_S  # CPU-ms per core and epoch
         self._no_stall = np.zeros(n_ops)
-        self._last_dist = np.full((n_ops, n_keys), 1.0 / n_keys)
 
         self._queue_n = np.zeros(n_shards)
         self._resid_n = np.zeros(n_shards)
@@ -176,17 +178,22 @@ class BaseSim:
         self._sources = [pos[s] for s in self.topology.sources()]
         self._is_source = np.zeros(n_ops, dtype=bool)
         self._is_source[self._sources] = True
-        self._sel = np.array([[op.selectivity] for op in ops])
         # The next inbox of an operator adds its upstreams' outputs in
         # topological order; feed r pairs each operator with its r-th.
         ups: dict[int, list[int]] = {}
         for u, name in enumerate(self._order):
             for d in self.topology.downstreams(name):
                 ups.setdefault(pos[d], []).append(u)
+        # per-key outputs only of the operators that feed another: row r
+        # of _last_dist and _sel is operator _ups[r], a feed's upstream a row
+        feeding = sorted({u for v in ups.values() for u in v})
+        self._ups = np.array(feeding, dtype=np.int64)
+        self._last_dist = np.full((len(feeding), n_keys), 1.0 / n_keys)
+        self._sel = np.array([[ops[u].selectivity] for u in feeding])
         self._feeds = []
         for r in range(max((len(v) for v in ups.values()), default=0)):
             pairs = [(d, v[r]) for d, v in ups.items() if len(v) > r]
-            self._feeds.append((np.array([d for d, _ in pairs]), np.array([u for _, u in pairs])))
+            self._feeds.append((np.array([d for d, _ in pairs]), np.array([feeding.index(u) for _, u in pairs])))
 
     def _set_tasks(self, task_node: np.ndarray, task_exec: np.ndarray) -> None:
         """Install a task layout: node and engine-wide executor of each
@@ -258,7 +265,7 @@ class BaseSim:
         for t in range(trace.n_epochs):
             now_s = t * EPOCH_S
             m = EpochMetrics(epoch=t)
-            counts = trace.counts[t].astype(float)
+            counts = trace.counts[t]  # the int64 → float64 cast of the add is exact
             for i in sources:
                 inbox[i] += counts
             arrivals = self._route(inbox)
@@ -276,7 +283,7 @@ class BaseSim:
     ) -> np.ndarray:
         """Throttle the spout, apply completed repartitions, advance
         every operator by one epoch and fold the per-operator totals into
-        ``m``.  Returns the next epoch's inbox."""
+        ``m``.  Returns the next epoch's inbox, in ``inbox``'s array."""
         # Storm-style global backpressure: the spout throttles to the
         # hottest task in the whole topology (high/low-watermark
         # backpressure stalls the entire spout, not one path).
@@ -352,8 +359,9 @@ class BaseSim:
         shard is paused.  Each skipped term is exactly 0.0 in the full
         pass, so the outputs are bit-identical to it; an array of zeros
         of either sign counts as absent (the pause reset always runs, so
-        a -0.0 pause leaves +0.0 as a full pass does).  ``_last_dist``
-        is kept only for a topology with edges, its one reader."""
+        a -0.0 pause leaves +0.0 as a full pass does).  Only the operators
+        that feed another (``_ups``, the rows of ``_last_dist``) form
+        per-key outputs; the next inbox is ``inbox``, zero-filled."""
         epoch_ms = EPOCH_S * 1000.0
         assign = self._shard_task
         n_tasks = len(self._task_op)
@@ -390,7 +398,7 @@ class BaseSim:
         room_t = np.maximum(0.0, self._queue_cap - q_t)
         # With no residual every residual term is zero: fr = 0 admits
         # nothing and leaves resid_wait as it is.
-        had_resid = resid_n.any()
+        had_resid = (resid_n != 0).any()
         if had_resid:
             r_t = np.bincount(assign, weights=resid_n, minlength=n_tasks)
             adm_r_t = np.minimum(r_t, room_t)
@@ -409,7 +417,7 @@ class BaseSim:
 
         # ---- processing ----
         # Pauses only hold tuples back; with none, avail is the queue.
-        paused = pause_ms.any()
+        paused = (pause_ms != 0).any()
         if paused:
             avail = queue_n * (1.0 - np.minimum(pause_ms / epoch_ms, 1.0))
         else:
@@ -443,7 +451,7 @@ class BaseSim:
         pause_ms[:] = 0.0
 
         # ---- residual aging + shedding ----
-        resid_left = resid_n.any()
+        resid_left = (resid_n != 0).any()
         if resid_left:
             resid_wait += resid_n * epoch_ms
             over_s = np.maximum(0.0, resid_n - self._resid_cap)
@@ -470,13 +478,14 @@ class BaseSim:
                 m.shed += shed
 
         # ---- outputs per key, into the downstream operators' rows ----
-        next_inbox = np.zeros_like(inbox)
         if self._feeds:
-            np.divide(inbox, offered[:, None], out=self._last_dist, where=(offered > 0)[:, None])
-            out = np.array(processed)[:, None] * self._last_dist * self._sel
-            for down, up in self._feeds:
-                next_inbox[down] = next_inbox[down] + out[up]
-        return next_inbox, processed, lat
+            ups = self._ups
+            np.divide(inbox[ups], offered[ups, None], out=self._last_dist, where=offered[ups, None] > 0)
+            out = np.array(processed)[ups, None] * self._last_dist * self._sel
+        inbox.fill(0.0)  # consumed: it becomes the next inbox
+        for down, up in self._feeds:
+            inbox[down] = inbox[down] + out[up]
+        return inbox, processed, lat
 
     # ------------------------------------------------------------------
     # shared helpers for paradigms

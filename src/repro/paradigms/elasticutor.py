@@ -178,7 +178,10 @@ class ElasticutorSim(BaseSim):
         rebalanced to δ < θ.
 
         The orphans are placed first, one heap per executor that has
-        any, starting from the task loads of the surviving shards.  Then
+        any, starting from the task loads of the surviving shards; one
+        gather of the negated orphan loads per epoch, then per executor
+        its slice's ``argsort`` (equal loads in a per-executor gather's
+        order) and the heap.  Then
         one ``bincount`` of the post-placement task loads screens the
         executors: only those with several tasks and δ not clearly below
         θ are busy; for the rest :func:`rebalance` would return at once
@@ -219,28 +222,28 @@ class ElasticutorSim(BaseSim):
         tl = np.bincount(new_assign[live], weights=loads[live], minlength=len(groups))
         dead = np.flatnonzero(~live)  # orphaned shards, executor by executor
         n_dead = np.bincount(self._shard_exec[dead], minlength=M)
-        # Re-home the orphans, heaviest first, each onto the least-loaded
-        # task of its executor.
-        rehomed, place = [], []
-        cut = np.cumsum(n_dead) - n_dead
-        for j in np.flatnonzero(n_dead).tolist():
-            orphans = dead[cut[j] : cut[j] + n_dead[j]]
-            lo = loads[orphans]
-            by_load = np.argsort(-lo)
+        moved, inter, by_exec = [], [], []  # shard, crosses-nodes flag, executor per move
+        if dead.size:
+            # Re-home the orphans, heaviest first, each onto the
+            # least-loaded task of its executor.
+            neg = -loads[dead]
+            js = np.flatnonzero(n_dead)
+            cut = np.cumsum(n_dead[js])
+            bounds = list(zip((cut - n_dead[js]).tolist(), cut.tolist()))
+            by_load = np.concatenate([a + np.argsort(neg[a:b]) for a, b in bounds])
+            shards = dead[by_load]
+            lo = loads[shards].tolist()
             # Known defect, kept so outputs stay as they are: when no
             # shard of the executor survives, the running task loads
             # are ints (the bincount of an empty selection is int64),
             # each sum truncated toward zero.  Fixing it changes
             # naive-EC's output (ROADMAP).
-            truncate = bool(n_dead[j] == self._exec_z[j])
-            tj0, tj1 = exec_start[j], exec_start[j] + k[j]
-            start = [0] * int(k[j]) if truncate else tl[tj0:tj1].tolist()
-            rehomed.append(orphans[by_load])
-            place += _least_loaded_first(start, lo[by_load].tolist(), truncate)
-        moved, inter, by_exec = [], [], []  # shard, crosses-nodes flag, executor per move
-        if rehomed:
-            shards = np.concatenate(rehomed)
-            new_assign[shards] = exec_start[self._shard_exec[shards]] + np.array(place)
+            truncate = (n_dead[js] == self._exec_z[js]).tolist()
+            tls, place = tl.tolist(), []
+            for (a, b), trunc, t0, kj in zip(bounds, truncate, exec_start[js].tolist(), k[js].tolist()):
+                start = [0] * kj if trunc else tls[t0 : t0 + kj]
+                place += _least_loaded_first(start, lo[a:b], trunc)
+            new_assign[shards] = exec_start[self._shard_exec[shards]] + np.fromiter(place, np.int64, len(place))
             moved.append(shards)
             inter.append(self._task_node[old_assign[shards]] != nodes_arr[new_assign[shards]])
             by_exec.append(self._shard_exec[shards])

@@ -134,8 +134,8 @@ def _process_operator_reference(sim, i, lay, rt, in_counts, stall_frac, m):
     )
 
     if offered > 0:
-        sim._last_dist[i] = in_counts / offered
-    out_counts = processed * sim._last_dist[i]
+        sim._dist[i] = in_counts / offered
+    out_counts = processed * sim._dist[i]
     return out_counts, processed, offered, lat_num
 
 
@@ -172,7 +172,17 @@ def _advance_reference(sim, now_s, inbox, arrivals, m):
 
 
 def _with_reference(cls):
-    return type(f"Reference{cls.__name__}", (cls,), {"_advance": _advance_reference})
+    class Reference(cls):
+        _advance = _advance_reference
+
+        def setup(self, n_keys):
+            super().setup(n_keys)
+            # the previous engine's per-key output distribution of every
+            # operator; the engine keeps only the rows of those that feed another
+            self._dist = np.full((len(self._order), n_keys), 1.0 / n_keys)
+
+    Reference.__name__ = f"Reference{cls.__name__}"
+    return Reference
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +257,13 @@ def _random_sim(cls, p):
             sim._resid_wait[:] = 0.0
         if "pause" in p["idle"]:
             sim._pause_ms[:] = signed_zeros[::-1]
-    dist = rng.random(sim._last_dist.shape)
-    sim._last_dist[:] = dist / dist.sum(axis=1, keepdims=True)
+    # every operator's distribution, drawn alike for the engine and the
+    # reference; the engine keeps the rows of the operators that feed another
+    dist = rng.random((len(sim._order), p["n_keys"]))
+    dist = dist / dist.sum(axis=1, keepdims=True)
+    sim._last_dist[:] = dist[sim._ups]
+    if hasattr(sim, "_dist"):
+        sim._dist[:] = dist
     if isinstance(sim, ResourceCentricSim):
         for name in sim._order:
             if rng.random() < 0.5:
@@ -288,8 +303,7 @@ def _assert_same_epoch(cls, p):
         k: _bits(v) for k, v in vars(m_ref).items()
     }
     assert _bits(next_got) == _bits(next_ref)
-    if got._feeds:  # a topology with no edges never reads it
-        assert _bits(got._last_dist) == _bits(ref._last_dist)
+    assert _bits(got._last_dist) == _bits(ref._dist[got._ups])
     for name in got._order:
         a, b = got.ops[name], ref.ops[name]
         for attr in STATE:

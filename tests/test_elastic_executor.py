@@ -168,6 +168,21 @@ class TestScaling:
         assert ex.run_until_idle() == 20
         assert [t.task_id for t in ex.tasks] == [0]
 
+    def test_shard_map_onto_draining_task_rejected(self):
+        """A draining task is collected once its queue empties, so a
+        shard mapped to it would lose every later tuple."""
+        ex = make_exec(n_shards=4)
+        t1 = ex.add_core(0)
+        ex.remove_core(t1)
+        with pytest.raises(ValueError, match=f"task {t1} is being removed"):
+            ex.shard_to_task = [t1] * 4
+        assert ex.shard_to_task == [0] * 4
+        ex.run_until_idle()
+        for i in range(20):
+            ex.receive(i, i)
+        assert ex.run_until_idle() == 20
+        assert len(ex.emitted) == 20
+
     def test_drained_task_is_gone(self):
         ex = make_exec(n_shards=4)
         t1 = ex.add_core(0)
